@@ -8,56 +8,15 @@ and for collecting desk-scale numbers.
 """
 
 import argparse
-import signal
-import socket
-import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from prdt import bench
 from prdt.kv.client import KvClient
-
-
-def free_ports(count):
-    socks = []
-    for _ in range(count):
-        s = socket.socket()
-        s.bind(("127.0.0.1", 0))
-        socks.append(s)
-    ports = [s.getsockname()[1] for s in socks]
-    for s in socks:
-        s.close()
-    return ports
-
-
-def launch_cluster(ports, election_timeout_ms=500):
-    uids = [f"n{i + 1}" for i in range(len(ports))]
-    addrs = {uid: f"127.0.0.1:{port}" for uid, port in zip(uids, ports)}
-    procs = []
-    for uid in uids:
-        peers = ",".join(f"{p}={addrs[p]}" for p in uids if p != uid)
-        cmd = [
-            sys.executable, "-m", "prdt.kv.server",
-            "--id", uid, "--listen", addrs[uid], "--peers", peers,
-            "--election-timeout-ms", str(election_timeout_ms),
-        ]
-        procs.append(subprocess.Popen(cmd, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL))
-    return uids, addrs, procs
-
-
-def wait_listening(port, deadline=10.0):
-    end = time.monotonic() + deadline
-    while time.monotonic() < end:
-        try:
-            with socket.create_connection(("127.0.0.1", port), timeout=0.5):
-                return
-        except OSError:
-            time.sleep(0.05)
-    raise RuntimeError(f"port {port} never came up")
+from prdt.kv.cluster import kv_cluster
 
 
 def main():
@@ -69,32 +28,20 @@ def main():
     parser.add_argument("--nodes", type=int, default=3)
     args = parser.parse_args()
 
-    ports = free_ports(args.nodes)
-    uids, addrs, procs = launch_cluster(ports)
     out_path = args.out or tempfile.mktemp(prefix="bench-", suffix=".csv")
-    try:
-        for port in ports:
-            wait_listening(port)
+    with kv_cluster(args.nodes) as addrs:
         # one throwaway op so the cluster elects before timing starts
-        with KvClient("127.0.0.1", ports[0], timeout=30.0) as client:
+        with KvClient(*addrs["n1"], timeout=30.0) as client:
             client.put("warm", "up")
             kind = {"read": bench.READ_ONLY, "write": bench.WRITE_ONLY, "mixed": bench.MIXED_50_50}[args.workload]
             workload = bench.Workload(kind, args.ops, seed=args.seed)
             records = bench.run_workload(client, workload)
-        with open(out_path, "w", newline="", encoding="utf-8") as fh:
-            bench.write_csv(records, fh)
-        summary = bench.summarize(records)
-        print(f"cluster: {', '.join(f'{u}@{addrs[u]}' for u in uids)}")
-        print(f"csv: {out_path}")
-        print(summary.to_json())
-    finally:
-        for proc in procs:
-            proc.send_signal(signal.SIGTERM)
-        for proc in procs:
-            try:
-                proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                proc.kill()
+    with open(out_path, "w", newline="", encoding="utf-8") as fh:
+        bench.write_csv(records, fh)
+    summary = bench.summarize(records)
+    print(f"cluster: {', '.join(f'{uid}@{host}:{port}' for uid, (host, port) in addrs.items())}")
+    print(f"csv: {out_path}")
+    print(summary.to_json())
     return 0
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import random
@@ -120,16 +119,6 @@ def read_csv(fileobj) -> List[BenchRecord]:
     if header != CSV_HEADER:
         raise ValueError(f"unexpected CSV header: {header!r}")
     return [BenchRecord(int(a), b, int(c), int(d)) for a, b, c, d in reader]
-
-
-def records_to_csv(records: Sequence[BenchRecord]) -> str:
-    buffer = io.StringIO()
-    write_csv(records, buffer)
-    return buffer.getvalue()
-
-
-def records_from_csv(text: str) -> List[BenchRecord]:
-    return read_csv(io.StringIO(text))
 
 
 def percentile_nearest_rank(sorted_values: Sequence[int], fraction: float):

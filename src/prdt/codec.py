@@ -48,11 +48,6 @@ def canon(obj) -> str:
     return _dump(encode(obj))
 
 
-def dumps(obj) -> str:
-    """Canonical JSON text of a value (same bytes as ``canon``)."""
-    return canon(obj)
-
-
 def loads(text: str):
     return decode(json.loads(text))
 

@@ -1,4 +1,4 @@
-"""Agreement lattice, threshold queries, gated actions, and the consensus contract.
+"""Agreement lattice and the consensus contract.
 
 The agreement lattice orders protocol outcomes::
 
@@ -12,15 +12,15 @@ what lets the same function double as a safety oracle in the random
 tester.
 
 Protocol actions are gated by boolean threshold queries: monotone
-predicates whose result freezes once the state passes a threshold. An
-action whose query is false contributes bottom (the empty delta), never
-an error.
+predicates whose result freezes once the state passes a threshold. Each
+protocol tests its queries inline, and an action whose query is false
+contributes bottom (the empty delta), never an error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Generic, TypeVar, Union
+from typing import Generic, TypeVar, Union
 
 from . import codec
 
@@ -80,35 +80,6 @@ class ReplicaContext:
     """Identity of the local process; constant for the replica's lifetime."""
 
     replica_id: str
-
-
-@dataclass(frozen=True)
-class ProtocolAction:
-    """A delta-producing update gated by a threshold query.
-
-    ``enabling(state, ctx) -> bool`` must be monotone; ``body(state,
-    param, ctx)`` returns a delta. When the query is false the action
-    yields ``bottom`` instead.
-    """
-
-    enabling: Callable[[Any, ReplicaContext], bool]
-    body: Callable[[Any, Any, ReplicaContext], Any]
-
-
-def update_if(query: Callable[[Any, ReplicaContext], bool], delta, state, ctx: ReplicaContext, bottom):
-    """Return delta when the query holds on state, else the empty update."""
-    return delta if query(state, ctx) else bottom
-
-
-def apply_action(action: ProtocolAction, state, param, ctx: ReplicaContext, bottom):
-    """Run a gated action: returns (new full state, delta).
-
-    The delta is merged into the local state immediately; the caller
-    also receives it for dissemination to peers. A disabled action
-    contributes bottom and leaves the state unchanged.
-    """
-    delta = action.body(state, param, ctx) if action.enabling(state, ctx) else bottom
-    return state.merge(delta), delta
 
 
 codec.register(Undecided, "undecided", lambda x: {"t": "undecided"}, lambda d: UNDECIDED)

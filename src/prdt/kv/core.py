@@ -28,7 +28,7 @@ from typing import Any, List, Optional
 from .. import codec
 from ..kernel import Decided, Invalid, ReplicaContext, UNDECIDED
 from ..protocols.paxos import phase1a
-from ..protocols.variants import MultiPaxos
+from ..protocols.variants import MultiPaxos, in_epoch
 from ..protocols.voting import Membership
 from ..lattice import Epoch
 from . import wire
@@ -116,7 +116,7 @@ class ServerCore:
         self.now = now
         effects: List = []
         if self.pending and self.election_deadline is not None and now >= self.election_deadline:
-            restart = Epoch(self.state.counter, phase1a(self.state.value, self.ctx))
+            restart = in_epoch(self.state.counter, phase1a(self.state.value, self.ctx))
             self._apply_local(restart)
             self._reset_election()
             self._after_state_change(effects)

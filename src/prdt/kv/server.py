@@ -154,7 +154,7 @@ class Server:
         wfile = conn.makefile("wb")
         try:
             for frame in wire.iter_frames(rfile):
-                if frame is None:
+                if not isinstance(frame, dict):
                     continue
                 if "kind" in frame:
                     with self.state_lock:

@@ -85,6 +85,8 @@ def request_frame(op) -> dict:
 
 
 def parse_request(frame: dict):
+    if not isinstance(frame, dict):
+        raise ValueError(f"malformed request: {frame!r}")
     kind = frame.get("op")
     if kind == "put":
         return Write(str(frame["key"]), str(frame["value"]))
@@ -115,7 +117,8 @@ def iter_frames(fileobj):
     """Yield parsed JSON frames from a socket file; stops at EOF.
 
     A malformed line is surfaced as None so the caller can log and drop
-    it without tearing the connection down.
+    it without tearing the connection down. A well-formed line may hold
+    any JSON value, not only an object.
     """
     for line in fileobj:
         line = line.strip()

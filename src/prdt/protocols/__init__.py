@@ -5,7 +5,7 @@ from __future__ import annotations
 from ..kernel import Consensus
 from .voting import Membership, ParallelVoting, Voting
 from .paxos import Paxos
-from .variants import EpochPaxos, GenPaxos, MultiPaxos, ReconfigurablePaxos, SequencePaxos
+from .variants import GenPaxos, MultiPaxos, ReconfigurablePaxos, SequencePaxos
 
 PROTOCOLS = {
     "voting": Voting,
@@ -26,7 +26,6 @@ def make_protocol(name: str, membership: Membership) -> Consensus:
 
 
 __all__ = [
-    "EpochPaxos",
     "GenPaxos",
     "Membership",
     "MultiPaxos",

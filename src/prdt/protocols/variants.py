@@ -2,12 +2,14 @@
 
 Each variant is a lattice combinator wrapped around ``PaxosState`` plus
 one extra protocol action, ``nextDecision``, whose enabling query checks
-that the present instance has decided:
+that the present instance has decided. A variant's ``propose`` and
+``upkeep`` deltas are the inner Paxos deltas carried through its
+combinator by ``lift``, which maps the empty inner delta to the
+variant's own bottom:
 
-* ``EpochPaxos``: an epoch counter around one instance; advancing
-  discards the decided instance and starts fresh.
-* ``MultiPaxos``: like EpochPaxos, but the new epoch's single round
-  reuses a copy of the decided leader election, so the stable leader can
+* ``MultiPaxos``: an epoch counter around one instance; advancing
+  discards the decided instance, and the new epoch's single round reuses
+  a copy of the decided leader election, so the stable leader can
   propose immediately without a new phase 1.
 * ``SequencePaxos``: a log of instances merged index-wise; a new entry
   may be appended only when every existing entry has decided.
@@ -29,7 +31,7 @@ is exactly why the runtime snapshots decided values before advancing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Callable, Optional
 
 from .. import codec
 from ..kernel import (
@@ -62,19 +64,25 @@ def leader_of(state: PaxosState, membership: Membership) -> Optional[str]:
     return None
 
 
-class _EpochWrapped(Consensus):
-    """Common plumbing for Epoch(counter, PaxosState) variants."""
+def lift(delta: PaxosState, wrap: Callable[[PaxosState], Any], bottom):
+    """Lift an inner Paxos delta through a combinator: ``wrap`` places it
+    in the composite state, and the empty delta maps to ``bottom``."""
+    if delta == PaxosState.bottom():
+        return bottom
+    return wrap(delta)
 
-    def __init__(self, membership: Membership):
-        self.membership = membership
-        self._inner = Paxos(membership)
 
-    def bottom(self) -> Epoch:
-        return Epoch(0, PaxosState.bottom())
+_EPOCH_BOTTOM = Epoch(0, PaxosState.bottom())
 
-    def inner_decision(self, state: Epoch) -> Agreement:
-        """Outcome of the current epoch's instance, unqualified."""
-        return paxos_decision(state.value, self.membership)
+
+def in_epoch(counter: int, delta: PaxosState) -> Epoch:
+    """An inner Paxos delta placed in epoch ``counter``."""
+    return lift(delta, lambda d: Epoch(counter, d), _EPOCH_BOTTOM)
+
+
+class _CounterQualified(Consensus):
+    """Decisions of an ``Epoch``-wrapped protocol, qualified by the
+    counter; subclasses supply ``inner_decision``, the epoch's outcome."""
 
     def decision(self, state: Epoch) -> Agreement:
         d = self.inner_decision(state)
@@ -86,45 +94,38 @@ class _EpochWrapped(Consensus):
         counter, _ = value
         return counter
 
+
+class MultiPaxos(_CounterQualified):
+    """Repeated decisions under a stable leader, one epoch per decision.
+
+    Advancing copies the decided round's leader election into the new
+    epoch's first round, keyed by a fresh ballot owned by that leader, so
+    phase 2 is enabled there from the start.
+    """
+
+    def __init__(self, membership: Membership):
+        self.membership = membership
+        self._inner = Paxos(membership)
+
+    def bottom(self) -> Epoch:
+        return _EPOCH_BOTTOM
+
+    def inner_decision(self, state: Epoch) -> Agreement:
+        """Outcome of the current epoch's instance, unqualified."""
+        return paxos_decision(state.value, self.membership)
+
     def propose(self, state: Epoch, value, ctx: ReplicaContext) -> Epoch:
         d = self.inner_decision(state)
         if isinstance(d, Invalid):
             return self.bottom()
         if isinstance(d, Decided):
             advanced = self.next_decision(state, ctx)
-            inner = advanced.value.merge(self._inner.propose(advanced.value, value, ctx))
-            return Epoch(advanced.counter, inner)
-        delta = self._inner.propose(state.value, value, ctx)
-        if delta == PaxosState.bottom():
-            return self.bottom()
-        return Epoch(state.counter, delta)
+            started = self._inner.propose(advanced.value, value, ctx)
+            return advanced.merge(in_epoch(advanced.counter, started))
+        return in_epoch(state.counter, self._inner.propose(state.value, value, ctx))
 
     def upkeep(self, state: Epoch, ctx: ReplicaContext, pending=None) -> Epoch:
-        delta = paxos_upkeep(state.value, ctx, self.membership, pending)
-        if delta == PaxosState.bottom():
-            return self.bottom()
-        return Epoch(state.counter, delta)
-
-    def next_decision(self, state: Epoch, ctx: ReplicaContext) -> Epoch:
-        raise NotImplementedError
-
-
-class EpochPaxos(_EpochWrapped):
-    """Repeated decisions; each epoch restarts from a blank instance."""
-
-    def next_decision(self, state: Epoch, ctx: ReplicaContext) -> Epoch:
-        if not isinstance(self.inner_decision(state), Decided):
-            return self.bottom()
-        return Epoch(state.counter + 1, PaxosState.bottom())
-
-
-class MultiPaxos(_EpochWrapped):
-    """Repeated decisions under a stable leader.
-
-    Advancing copies the decided round's leader election into the new
-    epoch's first round, keyed by a fresh ballot owned by that leader, so
-    phase 2 is enabled there from the start.
-    """
+        return in_epoch(state.counter, paxos_upkeep(state.value, ctx, self.membership, pending))
 
     def next_decision(self, state: Epoch, ctx: ReplicaContext) -> Epoch:
         inner = state.value
@@ -185,30 +186,22 @@ class SequencePaxos(Consensus):
         return self.index_decision(state, 0)
 
     def _at(self, index: int, delta: PaxosState) -> MergeList:
-        return MergeList((PaxosState.bottom(),) * index + (delta,))
+        return lift(delta, lambda d: MergeList((PaxosState.bottom(),) * index + (d,)), self.bottom())
 
     def propose(self, state: MergeList, value, ctx: ReplicaContext) -> MergeList:
         index = self.first_undecided(state)
         if index is None:
-            for i in range(len(state)):
-                if isinstance(self.index_decision(state, i), Invalid):
-                    return self.bottom()
+            if isinstance(self.decision(state), Invalid):
+                return self.bottom()
             index = len(state)
-            delta = self._inner.propose(PaxosState.bottom(), value, ctx)
-        else:
-            delta = self._inner.propose(state[index], value, ctx)
-        if delta == PaxosState.bottom():
-            return self.bottom()
-        return self._at(index, delta)
+        instance = state[index] if index < len(state) else PaxosState.bottom()
+        return self._at(index, self._inner.propose(instance, value, ctx))
 
     def upkeep(self, state: MergeList, ctx: ReplicaContext, pending=None) -> MergeList:
         index = self.first_undecided(state)
         if index is None:
             return self.bottom()
-        delta = paxos_upkeep(state[index], ctx, self.membership, pending)
-        if delta == PaxosState.bottom():
-            return self.bottom()
-        return self._at(index, delta)
+        return self._at(index, paxos_upkeep(state[index], ctx, self.membership, pending))
 
     def next_decision(self, state: MergeList, ctx: ReplicaContext) -> MergeList:
         """Append a blank instance once every existing entry has decided."""
@@ -276,6 +269,9 @@ class GenPaxos(Consensus):
         fresh = self.fresh_uid(state, ctx)
         return MergeMap(((fresh, GenOp(PaxosState.bottom(), GrowSet(predecessors))),))
 
+    def _at(self, uid, delta: PaxosState) -> MergeMap:
+        return lift(delta, lambda d: MergeMap(((uid, GenOp(d, GrowSet.bottom())),)), self.bottom())
+
     def _undecided_uids(self, state: MergeMap):
         return [
             uid
@@ -292,10 +288,7 @@ class GenPaxos(Consensus):
         undecided = self._undecided_uids(state)
         if undecided:
             uid = min(undecided)
-            delta = self._inner.propose(state.get(uid).consensus, value, ctx)
-            if delta == PaxosState.bottom():
-                return self.bottom()
-            return MergeMap(((uid, GenOp(delta, GrowSet.bottom())),))
+            return self._at(uid, self._inner.propose(state.get(uid).consensus, value, ctx))
         decided = frozenset(
             uid for uid, op in state.entries
             if isinstance(paxos_decision(op.consensus, self.membership), Decided)
@@ -305,14 +298,11 @@ class GenPaxos(Consensus):
         return MergeMap(((fresh, GenOp(started, GrowSet(decided))),))
 
     def upkeep(self, state: MergeMap, ctx: ReplicaContext, pending=None) -> MergeMap:
-        entries = []
+        out = self.bottom()
         for uid in self._undecided_uids(state):
             delta = paxos_upkeep(state.get(uid).consensus, ctx, self.membership, pending)
-            if delta != PaxosState.bottom():
-                entries.append((uid, GenOp(delta, GrowSet.bottom())))
-        if not entries:
-            return self.bottom()
-        return MergeMap(tuple(entries))
+            out = out.merge(self._at(uid, delta))
+        return out
 
 
 @dataclass(frozen=True)
@@ -328,7 +318,7 @@ class ConfigRound(ProductMixin):
         return cls(GrowSet.bottom(), PaxosState.bottom(), PaxosState.bottom())
 
 
-class ReconfigurablePaxos(Consensus):
+class ReconfigurablePaxos(_CounterQualified):
     """Value consensus whose membership is itself decided by consensus.
 
     Quorums come from the state's own ``current_members``, never from
@@ -361,25 +351,11 @@ class ReconfigurablePaxos(Consensus):
             return INVALID
         return d_value
 
-    def decision(self, state: Epoch) -> Agreement:
-        d = self.inner_decision(state)
-        if isinstance(d, Decided):
-            return Decided((state.counter, d.value))
-        return d
-
-    def decision_instance(self, value):
-        counter, _ = value
-        return counter
-
     def _wrap_value(self, state: Epoch, delta: PaxosState) -> Epoch:
-        if delta == PaxosState.bottom():
-            return self.bottom()
-        return Epoch(state.counter, ConfigRound(inner_consensus=delta))
+        return lift(delta, lambda d: Epoch(state.counter, ConfigRound(inner_consensus=d)), self.bottom())
 
     def _wrap_members(self, state: Epoch, delta: PaxosState) -> Epoch:
-        if delta == PaxosState.bottom():
-            return self.bottom()
-        return Epoch(state.counter, ConfigRound(next_members=delta))
+        return lift(delta, lambda d: Epoch(state.counter, ConfigRound(next_members=d)), self.bottom())
 
     def propose(self, state: Epoch, value, ctx: ReplicaContext) -> Epoch:
         """Drive the epoch forward: decide the value, then the membership
@@ -403,7 +379,7 @@ class ReconfigurablePaxos(Consensus):
         advanced = self.next_decision(state, ctx)
         m_next = Membership(advanced.value.current_members.elements)
         delta = Paxos(m_next).propose(advanced.value.inner_consensus, value, ctx)
-        return Epoch(advanced.counter, advanced.value.merge(ConfigRound(inner_consensus=delta)))
+        return advanced.merge(self._wrap_value(advanced, delta))
 
     def propose_membership(self, state: Epoch, members: Membership, ctx: ReplicaContext) -> Epoch:
         m = self.membership_of(state)
@@ -417,9 +393,7 @@ class ReconfigurablePaxos(Consensus):
             return self.bottom()
         d_value = paxos_upkeep(state.value.inner_consensus, ctx, m, pending)
         d_members = paxos_upkeep(state.value.next_members, ctx, m, None)
-        if d_value == PaxosState.bottom() and d_members == PaxosState.bottom():
-            return self.bottom()
-        return Epoch(state.counter, ConfigRound(next_members=d_members, inner_consensus=d_value))
+        return self._wrap_value(state, d_value).merge(self._wrap_members(state, d_members))
 
     def next_decision(self, state: Epoch, ctx: ReplicaContext) -> Epoch:
         """Advance once both the value and the next membership are decided."""

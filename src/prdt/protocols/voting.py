@@ -21,7 +21,6 @@ from ..kernel import (
     Decided,
     INVALID,
     Invalid,
-    ProtocolAction,
     ReplicaContext,
     UNDECIDED,
 )
@@ -84,14 +83,6 @@ def vote_for(state: VotingState, value, ctx: ReplicaContext) -> VotingState:
     if not has_not_voted(state, ctx):
         return VotingState.bottom()
     return VotingState(GrowSet(frozenset((Vote(ctx.replica_id, value),))))
-
-
-vote_for_action = ProtocolAction(
-    enabling=has_not_voted,
-    body=lambda state, value, ctx: VotingState(
-        GrowSet(frozenset((Vote(ctx.replica_id, value),)))
-    ),
-)
 
 
 def tally(state: VotingState) -> dict:

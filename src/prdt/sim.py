@@ -338,25 +338,6 @@ def run_fairness_epilogue(protocol: Consensus, execution: Execution, rng: random
     return max_rounds, all(isinstance(d, Decided) for d in execution.decisions)
 
 
-def collect_reachable_states(protocol: Consensus, config: SimConfig) -> List:
-    """A pool of action-reachable states sampled from random runs.
-
-    Used by the law and monotonicity checkers: random *structural* values
-    would not respect protocol invariants, so samples come from runs. Run
-    lengths cycle from one step up to the configured maximum so the pool
-    spans shallow and deep states.
-    """
-    import dataclasses as _dc
-
-    pool: List = [protocol.initial_state()]
-    for run_index in range(config.runs):
-        depth = 1 + (run_index % config.steps_per_run)
-        cfg = _dc.replace(config, steps_per_run=depth, runs=1)
-        result = run_one(protocol, cfg, run_index)
-        pool.extend(result.final_states)
-    return pool
-
-
 def check_lattice_laws(sample: Callable[[random.Random], Any], samples: int,
                        rng: random.Random, bottom=None) -> List[str]:
     """Commutativity, associativity, idempotence, and bottom-neutrality

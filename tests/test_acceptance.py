@@ -8,6 +8,7 @@ and 8 spawn real server processes; everything else runs in process.
 
 from __future__ import annotations
 
+import io
 import json
 import random
 import time
@@ -19,19 +20,18 @@ from conftest import (
     MemoryNet,
     crossed_pairs,
     harvest,
-    kv_cluster,
     within_epoch,
 )
 from prdt import bench, sim
 from prdt.kernel import UNDECIDED, Decided, ReplicaContext
 from prdt.kv.client import KvClient
+from prdt.kv.cluster import kv_cluster
 from prdt.kv.wire import Write
 from prdt.lattice import Epoch, GrowSet, MergeList, MergeMap
 from prdt.protocols import PROTOCOLS, make_protocol
 from prdt.protocols.paxos import BallotNum, Paxos, PaxosRound, PaxosState
 from prdt.protocols.variants import (
     ConfigRound,
-    EpochPaxos,
     GenOp,
     MultiPaxos,
     ReconfigurablePaxos,
@@ -154,11 +154,10 @@ def test_criterion_1_lattice_laws():
 def test_criterion_2_decision_monotonicity():
     membership = Membership.of("r1", "r2", "r3")
     protocols = {name: make_protocol(name, membership) for name in PROTOCOLS}
-    protocols["epochpaxos"] = EpochPaxos(membership)
     protocols["parallel"] = ParallelVoting(membership)
     # Epoch advancement deliberately discards the decided instance, so
     # the monotonicity contract for these is per epoch (conftest filter).
-    epoch_scoped = {"multipaxos", "reconfig", "epochpaxos"}
+    epoch_scoped = {"multipaxos", "reconfig"}
     violations = []
     for index, name in enumerate(sorted(protocols)):
         protocol = protocols[name]
@@ -347,10 +346,14 @@ def test_criterion_8_bench_throughput_and_roundtrip():
     summary = bench.summarize(records, warmup_fraction=0.1)
     fast_enough = summary.median_throughput_ops >= 500.0
 
-    text = bench.records_to_csv(records)
+    written = io.StringIO()
+    bench.write_csv(records, written)
+    text = written.getvalue()
+    rewritten = io.StringIO()
+    bench.write_csv(bench.read_csv(io.StringIO(text)), rewritten)
     csv_ok = (
-        bench.records_from_csv(text) == records
-        and bench.records_to_csv(bench.records_from_csv(text)) == text
+        bench.read_csv(io.StringIO(text)) == records
+        and rewritten.getvalue() == text
     )
     summary_ok = bench.Summary(**json.loads(summary.to_json())) == summary
 

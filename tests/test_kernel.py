@@ -1,4 +1,4 @@
-"""Agreement lattice, gated updates, and the action wrapper."""
+"""The agreement lattice: join, order, and the decided test."""
 
 from __future__ import annotations
 
@@ -7,16 +7,11 @@ from hypothesis import given, strategies as st
 from prdt.kernel import (
     Decided,
     INVALID,
-    ReplicaContext,
     UNDECIDED,
     agreement_join,
     agreement_leq,
-    apply_action,
     is_decided,
-    update_if,
 )
-from prdt.lattice import GrowSet
-from prdt.protocols.voting import Vote, VotingState, vote_for_action
 
 
 agreements = st.one_of(
@@ -61,39 +56,3 @@ def test_is_decided():
     assert not is_decided(UNDECIDED)
     assert not is_decided(INVALID)
 
-
-def test_update_if_gates_the_delta():
-    ctx = ReplicaContext("a")
-    state = GrowSet.of("seen")
-    delta = GrowSet.of("v")
-    bottom = GrowSet.bottom()
-    assert update_if(lambda s, c: True, delta, state, ctx, bottom) == delta
-    assert update_if(lambda s, c: False, delta, state, ctx, bottom) == bottom
-    # a bottom delta stays bottom no matter what the query says
-    assert update_if(lambda s, c: True, bottom, state, ctx, bottom) == bottom
-
-
-def test_apply_action_disabled_leaves_state_unchanged():
-    ctx = ReplicaContext("a")
-    state = VotingState.of(("a", "cat"))
-    new_state, delta = apply_action(vote_for_action, state, "dog", ctx, VotingState.bottom())
-    assert delta == VotingState.bottom()
-    assert new_state == state
-
-
-def test_apply_action_votes_on_fresh_state():
-    ctx = ReplicaContext("a")
-    new_state, delta = apply_action(
-        vote_for_action, VotingState.bottom(), "cat", ctx, VotingState.bottom()
-    )
-    assert Vote("a", "cat") in delta.votes
-    assert new_state == VotingState.of(("a", "cat"))
-
-
-def test_apply_action_redelivery_is_idempotent():
-    ctx = ReplicaContext("a")
-    state, delta = apply_action(
-        vote_for_action, VotingState.bottom(), "cat", ctx, VotingState.bottom()
-    )
-    assert state.merge(delta) == state
-    assert state.merge(delta).merge(delta) == state

@@ -46,9 +46,10 @@ def test_logs_and_counters_converge(memory_net):
 
 
 def test_bad_client_request_is_answered_not_crashed(memory_net):
-    assert memory_net.request("n1", {"op": "frobnicate"}) == {
-        "status": "error", "value": "bad request",
-    }
+    for frame in ({"op": "frobnicate"}, ["op"]):
+        assert memory_net.request("n1", frame) == {
+            "status": "error", "value": "bad request",
+        }
     assert memory_net.put("n1", "k", "v") == {"status": "ok"}
 
 

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import json
+import os
 import socket
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from conftest import kv_cluster
 from prdt.kv.client import KvClient, main as client_main
+from prdt.kv.cluster import kv_cluster
 
 pytestmark = pytest.mark.integration
 
@@ -52,6 +57,21 @@ def test_garbage_frames_do_not_take_the_server_down():
             sock.sendall(b"this is not json\n")
             sock.sendall(b'{"neither": "op nor kind"}\n')
             sock.sendall(b'{"kind": "DELTA", "sender": "nX", "payload": 42}\n')
+        with socket.create_connection((host, port), timeout=5) as sock:
+            # JSON that is not an object must not end the connection
+            sock.sendall(b'5\n"op"\n["op"]\n')
+            sock.sendall(b'{"op": "put", "key": "same", "value": "socket"}\n')
+            assert json.loads(sock.makefile("rb").readline()) == {"status": "ok"}
         with KvClient(host, port) as client:
             assert client.put("still", "alive") == {"status": "ok"}
             assert client.get("still") == {"status": "ok", "value": "alive"}
+
+
+def test_local_bench_script_runs_from_a_checkout(tmp_path):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_bench_local.py"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    result = subprocess.run(
+        [sys.executable, str(script), "--ops", "20", "--out", str(tmp_path / "run.csv")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from conftest import BuggyVoting
+from conftest import BuggyVoting, harvest
 from prdt.kernel import Decided, UNDECIDED
 from prdt.lattice import GrowSet
 from prdt.protocols.paxos import Paxos
@@ -22,7 +22,6 @@ from prdt.sim import (
     check_lattice_laws,
     check_monotone,
     check_oracles,
-    collect_reachable_states,
     read_trace,
     replay_trace,
     run_fairness_epilogue,
@@ -181,8 +180,7 @@ def test_fairness_epilogue_reaches_decisions_everywhere():
 
 def test_reachable_pool_spans_run_depths():
     protocol = Voting(Membership.of("r1", "r2", "r3"))
-    cfg = SimConfig(replica_count=3, steps_per_run=5, runs=10, rng_seed=3)
-    pool = collect_reachable_states(protocol, cfg)
+    pool, _ = harvest(protocol, runs=10, max_steps=5, seed=3)
     assert len(pool) == 1 + 10 * 3
     assert pool[0] == protocol.initial_state()
     assert all(isinstance(s, VotingState) for s in pool)

@@ -1,5 +1,5 @@
-"""Composed variants: epoch restarts, leader retention, log discipline,
-named concurrent decisions, and self-governed membership."""
+"""Composed variants: epoch-qualified decisions, leader retention, log
+discipline, named concurrent decisions, and self-governed membership."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from prdt.protocols.paxos import (
 )
 from prdt.protocols.variants import (
     ConfigRound,
-    EpochPaxos,
     GenOp,
     GenPaxos,
     MultiPaxos,
@@ -65,37 +64,32 @@ def test_leader_of_prefers_the_highest_confirmed_round():
     assert leader_of(two, R123) == "r2"
 
 
-# -- EpochPaxos --------------------------------------------------------
+# -- MultiPaxos --------------------------------------------------------
 
 def test_epoch_decision_is_counter_qualified():
-    protocol = EpochPaxos(R123)
+    protocol = MultiPaxos(R123)
     assert protocol.decision(Epoch(0, decided_inner())) == Decided((0, "v1"))
     assert protocol.decision(Epoch(2, decided_inner())) == Decided((2, "v1"))
     assert protocol.decision(Epoch(2, PaxosState.bottom())) == UNDECIDED
-
-
-def test_epoch_advance_restarts_blank():
-    protocol = EpochPaxos(R123)
-    assert protocol.next_decision(Epoch(0, PaxosState.bottom()), R1) == protocol.bottom()
-    advanced = protocol.next_decision(Epoch(3, decided_inner()), R1)
-    assert advanced == Epoch(4, PaxosState.bottom())
-    # the advanced epoch absorbs the decided instance it replaces
-    assert advanced.merge(Epoch(3, decided_inner())) == advanced
+    assert protocol.decision_instance((2, "v1")) == 2
 
 
 def test_epoch_propose_on_decided_opens_the_next_instance():
-    protocol = EpochPaxos(R123)
+    protocol = MultiPaxos(R123)
     delta = protocol.propose(Epoch(0, decided_inner()), "v2", R2)
     assert delta.counter == 1
-    assert delta.value.current_ballot() == BallotNum("r2", 1)
+    # the decided instance stays behind: only the carried election and
+    # the proposer's fresh ballot are in the new epoch
+    assert set(delta.value.rounds.keys()) == {BallotNum("r1", 2), BallotNum("r2", 3)}
+    # the advanced epoch absorbs the decided instance it replaces
+    assert delta.merge(Epoch(0, decided_inner())) == delta
 
 
 def test_epoch_propose_on_invalid_is_disabled():
-    protocol = EpochPaxos(R123)
+    protocol = MultiPaxos(R123)
     assert protocol.propose(Epoch(0, invalid_inner()), "v2", R2) == protocol.bottom()
+    assert protocol.upkeep(Epoch(0, invalid_inner()), R2) == protocol.bottom()
 
-
-# -- MultiPaxos --------------------------------------------------------
 
 def test_multipaxos_advance_carries_the_leader():
     protocol = MultiPaxos(R123)
