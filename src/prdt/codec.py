@@ -10,11 +10,15 @@ tests, and inside decision functions.
 Scheme: JSON scalars (str, int, bool, None) encode as themselves; every
 structured type is a dict tagged with ``"t"``. Bare JSON lists never
 appear at the top level of a value, only inside tagged dicts, so
-decoding dispatches on the tag alone.
+decoding dispatches on the tag alone. A record type is declared with
+``record``, one key per field. The collections, and the scalar-only
+types that fill every log entry (ballots, operations), keep hand-written
+pairs through ``register``, which skip a generic ``encode`` per field.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 from .lattice import Epoch, GrowSet, MergeList, MergeMap
@@ -82,6 +86,26 @@ def register(type_, tag: str, enc, dec) -> None:
     _CODECS_BY_TAG[tag] = codec
 
 
+def record(type_, tag: str, *keys: str) -> None:
+    """Register a frozen dataclass as ``{"t": tag, key_i: encode(field_i)}``,
+    one key per field, in field order."""
+    names = tuple(f.name for f in dataclasses.fields(type_))
+    if len(keys) != len(names):
+        raise ValueError(f"{type_.__name__} has {len(names)} fields, got keys {keys!r}")
+    pairs = tuple(zip(keys, names))
+
+    def enc(obj):
+        doc = {"t": tag}
+        for key, name in pairs:
+            doc[key] = encode(getattr(obj, name))
+        return doc
+
+    def dec(doc):
+        return type_(*[decode(doc[key]) for key in keys])
+
+    register(type_, tag, enc, dec)
+
+
 def _encode_set(obj):
     encoded = [encode(e) for e in obj.elements]
     encoded.sort(key=_dump)
@@ -100,6 +124,4 @@ register(MergeMap, "map",
 register(MergeList, "list",
          lambda obj: {"t": "list", "v": [encode(x) for x in obj.items]},
          lambda doc: MergeList(tuple(decode(x) for x in doc["v"])))
-register(Epoch, "epoch",
-         lambda obj: {"t": "epoch", "n": obj.counter, "v": encode(obj.value)},
-         lambda doc: Epoch(doc["n"], decode(doc["v"])))
+record(Epoch, "epoch", "n", "v")

@@ -82,14 +82,9 @@ class ReplicaContext:
     replica_id: str
 
 
-codec.register(Undecided, "undecided", lambda x: {"t": "undecided"}, lambda d: UNDECIDED)
-codec.register(
-    Decided,
-    "decided",
-    lambda x: {"t": "decided", "v": codec.encode(x.value)},
-    lambda d: Decided(codec.decode(d["v"])),
-)
-codec.register(Invalid, "invalid", lambda x: {"t": "invalid"}, lambda d: INVALID)
+codec.record(Undecided, "undecided")
+codec.record(Decided, "decided", "v")
+codec.record(Invalid, "invalid")
 
 
 class Consensus:

@@ -23,15 +23,20 @@ def free_port() -> int:
         return sock.getsockname()[1]
 
 
-def wait_listening(host: str, port: int, deadline: float = 10.0) -> None:
+def wait_listening(uid: str, proc: subprocess.Popen, host: str, port: int,
+                   deadline: float = 10.0) -> None:
+    """Wait until server ``uid`` listens; fail fast if its process exits."""
     end = time.monotonic() + deadline
     while time.monotonic() < end:
+        code = proc.poll()
+        if code is not None:
+            raise RuntimeError(f"server {uid} exited with code {code} during start-up")
         try:
             with socket.create_connection((host, port), timeout=0.5):
                 return
         except OSError:
             time.sleep(0.05)
-    raise TimeoutError(f"nothing listening on {host}:{port}")
+    raise TimeoutError(f"server {uid}: nothing listening on {host}:{port}")
 
 
 @contextlib.contextmanager
@@ -74,8 +79,8 @@ def kv_cluster(node_count: int = 3, links=None, election_timeout_ms: int = 500):
                 stdout=subprocess.DEVNULL,
                 env=env,
             ))
-        for uid in uids:
-            wait_listening(*addrs[uid])
+        for uid, proc in zip(uids, procs):
+            wait_listening(uid, proc, *addrs[uid])
         yield addrs
     finally:
         for proc in procs:

@@ -85,6 +85,8 @@ class ServerCore:
         try:
             envelope = wire.parse_envelope(frame)
             sender = envelope["sender"]
+            if sender not in self.peers:
+                raise ValueError(f"envelope from a non-peer: {sender!r}")
             kind = envelope["kind"]
             if kind == wire.DELTA:
                 delta = codec.decode(envelope["payload"])

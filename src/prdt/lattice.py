@@ -12,13 +12,27 @@ Every replicated state in this package is a value of one of these types
 All values are immutable (frozen dataclasses over frozensets/tuples), so
 they are safe to share across threads and to use as dict keys or cache
 keys wherever every payload is hashable.
+
+A new state type is declared once, as a product record: a frozen
+dataclass deriving from ``ProductMixin`` whose fields are lattices and
+whose field defaults are their bottoms. Its merge is field-wise, and
+its ``bottom()`` is the all-defaults instance, built once per class and
+shared. One line registers its encoding, keys in field order::
+
+    @dataclass(frozen=True)
+    class PaxosRound(ProductMixin):
+        leader_election: VotingState = VotingState()
+        proposals: VotingState = VotingState()
+
+    codec.record(PaxosRound, "round", "le", "prop")
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Mapping, Tuple
+from typing import Any, Iterator, Mapping, Tuple
 
 
 def merge(a, b):
@@ -31,8 +45,18 @@ def leq(a, b) -> bool:
     return merge(a, b) == b
 
 
+class DefaultBottom:
+    """Lattice types whose bottom is the all-defaults instance."""
+
+    @classmethod
+    @functools.cache
+    def bottom(cls):
+        """The all-defaults instance, built once per class and shared."""
+        return cls()
+
+
 @dataclass(frozen=True)
-class GrowSet:
+class GrowSet(DefaultBottom):
     """Grow-only set; merge is set union."""
 
     elements: frozenset = frozenset()
@@ -40,10 +64,6 @@ class GrowSet:
     def __post_init__(self):
         if not isinstance(self.elements, frozenset):
             object.__setattr__(self, "elements", frozenset(self.elements))
-
-    @classmethod
-    def bottom(cls) -> "GrowSet":
-        return _GROWSET_BOTTOM
 
     @classmethod
     def of(cls, *elements) -> "GrowSet":
@@ -56,9 +76,6 @@ class GrowSet:
             return other
         return GrowSet(self.elements | other.elements)
 
-    def add(self, element) -> "GrowSet":
-        return GrowSet(self.elements | {element})
-
     def __contains__(self, element) -> bool:
         return element in self.elements
 
@@ -69,11 +86,8 @@ class GrowSet:
         return len(self.elements)
 
 
-_GROWSET_BOTTOM = GrowSet(frozenset())
-
-
 @dataclass(frozen=True)
-class MergeMap:
+class MergeMap(DefaultBottom):
     """Map whose merge unions key sets and merges values at shared keys.
 
     Entries are stored as a key-sorted tuple of pairs, so structural
@@ -92,14 +106,6 @@ class MergeMap:
             entries = entries.items()
         entries = tuple(sorted(entries, key=lambda kv: kv[0]))
         object.__setattr__(self, "entries", entries)
-
-    @classmethod
-    def bottom(cls) -> "MergeMap":
-        return _MERGEMAP_BOTTOM
-
-    @classmethod
-    def of(cls, mapping: Mapping) -> "MergeMap":
-        return cls(tuple(mapping.items()))
 
     def merge(self, other: "MergeMap") -> "MergeMap":
         if not other.entries:
@@ -121,9 +127,6 @@ class MergeMap:
     def keys(self) -> Tuple:
         return tuple(k for k, _ in self.entries)
 
-    def items(self) -> Tuple[tuple, ...]:
-        return self.entries
-
     def max_key(self):
         if not self.entries:
             return None
@@ -136,11 +139,8 @@ class MergeMap:
         return len(self.entries)
 
 
-_MERGEMAP_BOTTOM = MergeMap(())
-
-
 @dataclass(frozen=True)
-class MergeList:
+class MergeList(DefaultBottom):
     """Ordered sequence merged index-wise; the longer tail is kept.
 
     Length never shrinks under merge: len(merge(a, b)) is
@@ -153,14 +153,6 @@ class MergeList:
         if not isinstance(self.items, tuple):
             object.__setattr__(self, "items", tuple(self.items))
 
-    @classmethod
-    def bottom(cls) -> "MergeList":
-        return _MERGELIST_BOTTOM
-
-    @classmethod
-    def of(cls, items: Iterable) -> "MergeList":
-        return cls(tuple(items))
-
     def merge(self, other: "MergeList") -> "MergeList":
         if not other.items:
             return self
@@ -171,9 +163,6 @@ class MergeList:
         tail = self.items[shared:] if len(self.items) > shared else other.items[shared:]
         return MergeList(head + tail)
 
-    def append(self, item) -> "MergeList":
-        return MergeList(self.items + (item,))
-
     def __getitem__(self, index):
         return self.items[index]
 
@@ -182,9 +171,6 @@ class MergeList:
 
     def __len__(self) -> int:
         return len(self.items)
-
-
-_MERGELIST_BOTTOM = MergeList(())
 
 
 @dataclass(frozen=True)
@@ -208,12 +194,14 @@ class Epoch:
         return Epoch(self.counter, self.value.merge(other.value))
 
 
-class ProductMixin:
+@functools.cache
+def _field_names(cls) -> Tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
+class ProductMixin(DefaultBottom):
     """Field-wise merge for frozen dataclasses whose fields are all lattices."""
 
     def merge(self, other):
         cls = type(self)
-        return cls(*(
-            getattr(self, f.name).merge(getattr(other, f.name))
-            for f in dataclasses.fields(cls)
-        ))
+        return cls(*[getattr(self, name).merge(getattr(other, name)) for name in _field_names(cls)])

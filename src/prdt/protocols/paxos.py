@@ -58,27 +58,13 @@ class PaxosRound(ProductMixin):
     leader_election: VotingState = VotingState()
     proposals: VotingState = VotingState()
 
-    @classmethod
-    def bottom(cls) -> "PaxosRound":
-        return _ROUND_BOTTOM
-
-
-_ROUND_BOTTOM = PaxosRound(VotingState.bottom(), VotingState.bottom())
-
 
 @dataclass(frozen=True)
 class PaxosState(ProductMixin):
     rounds: MergeMap = MergeMap()
 
-    @classmethod
-    def bottom(cls) -> "PaxosState":
-        return _PAXOS_BOTTOM
-
     def current_ballot(self) -> Optional[BallotNum]:
         return self.rounds.max_key()
-
-
-_PAXOS_BOTTOM = PaxosState(MergeMap())
 
 
 def _single_round(ballot: BallotNum, round_: PaxosRound) -> PaxosState:
@@ -277,15 +263,5 @@ codec.register(
     lambda x: {"t": "ballot", "uid": x.uid, "n": x.counter},
     lambda d: BallotNum(d["uid"], d["n"]),
 )
-codec.register(
-    PaxosRound,
-    "round",
-    lambda x: {"t": "round", "le": codec.encode(x.leader_election), "prop": codec.encode(x.proposals)},
-    lambda d: PaxosRound(codec.decode(d["le"]), codec.decode(d["prop"])),
-)
-codec.register(
-    PaxosState,
-    "paxos",
-    lambda x: {"t": "paxos", "rounds": codec.encode(x.rounds)},
-    lambda d: PaxosState(codec.decode(d["rounds"])),
-)
+codec.record(PaxosRound, "round", "le", "prop")
+codec.record(PaxosState, "paxos", "rounds")

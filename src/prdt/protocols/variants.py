@@ -152,10 +152,6 @@ class GenOp(ProductMixin):
     consensus: PaxosState = PaxosState()
     predecessors: GrowSet = GrowSet()
 
-    @classmethod
-    def bottom(cls) -> "GenOp":
-        return cls(PaxosState.bottom(), GrowSet.bottom())
-
 
 class SequencePaxos(Consensus):
     """A replicated log: one instance per index, appended when all decided."""
@@ -313,10 +309,6 @@ class ConfigRound(ProductMixin):
     next_members: PaxosState = PaxosState()
     inner_consensus: PaxosState = PaxosState()
 
-    @classmethod
-    def bottom(cls) -> "ConfigRound":
-        return cls(GrowSet.bottom(), PaxosState.bottom(), PaxosState.bottom())
-
 
 class ReconfigurablePaxos(_CounterQualified):
     """Value consensus whose membership is itself decided by consensus.
@@ -407,20 +399,5 @@ class ReconfigurablePaxos(_CounterQualified):
         return Epoch(state.counter + 1, ConfigRound(GrowSet(d_members.value.members)))
 
 
-codec.register(
-    GenOp,
-    "genop",
-    lambda x: {"t": "genop", "c": codec.encode(x.consensus), "pred": codec.encode(x.predecessors)},
-    lambda d: GenOp(codec.decode(d["c"]), codec.decode(d["pred"])),
-)
-codec.register(
-    ConfigRound,
-    "config",
-    lambda x: {
-        "t": "config",
-        "cur": codec.encode(x.current_members),
-        "next": codec.encode(x.next_members),
-        "val": codec.encode(x.inner_consensus),
-    },
-    lambda d: ConfigRound(codec.decode(d["cur"]), codec.decode(d["next"]), codec.decode(d["val"])),
-)
+codec.record(GenOp, "genop", "c", "pred")
+codec.record(ConfigRound, "config", "cur", "next", "val")

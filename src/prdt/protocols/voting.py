@@ -40,15 +40,8 @@ class VotingState(ProductMixin):
     votes: GrowSet = GrowSet()
 
     @classmethod
-    def bottom(cls) -> "VotingState":
-        return _VOTING_BOTTOM
-
-    @classmethod
     def of(cls, *pairs: Tuple[str, Any]) -> "VotingState":
         return cls(GrowSet(frozenset(Vote(p, v) for p, v in pairs)))
-
-
-_VOTING_BOTTOM = VotingState(GrowSet())
 
 
 @dataclass(frozen=True)
@@ -156,35 +149,16 @@ class ParallelVotingState(ProductMixin):
     first: VotingState = VotingState()
     second: VotingState = VotingState()
 
-    @classmethod
-    def bottom(cls) -> "ParallelVotingState":
-        return cls(VotingState.bottom(), VotingState.bottom())
 
-
-codec.register(
-    Vote,
-    "vote",
-    lambda x: {"t": "vote", "p": codec.encode(x.voter), "v": codec.encode(x.value)},
-    lambda d: Vote(codec.decode(d["p"]), codec.decode(d["v"])),
-)
-codec.register(
-    VotingState,
-    "voting",
-    lambda x: {"t": "voting", "v": codec.encode(x.votes)},
-    lambda d: VotingState(codec.decode(d["v"])),
-)
+codec.record(Vote, "vote", "p", "v")
+codec.record(VotingState, "voting", "v")
 codec.register(
     Membership,
     "members",
     lambda x: {"t": "members", "v": codec.encode(GrowSet(x.members))},
     lambda d: Membership(codec.decode(d["v"]).elements),
 )
-codec.register(
-    ParallelVotingState,
-    "parvoting",
-    lambda x: {"t": "parvoting", "a": codec.encode(x.first), "b": codec.encode(x.second)},
-    lambda d: ParallelVotingState(codec.decode(d["a"]), codec.decode(d["b"])),
-)
+codec.record(ParallelVotingState, "parvoting", "a", "b")
 
 
 class ParallelVoting(Consensus):

@@ -43,7 +43,6 @@ class SimConfig:
     # Upkeep normally runs only on merge targets; this switches on the
     # variant that also runs it right after a propose.
     upkeep_after_propose: bool = False
-    check_protocol_invariants: bool = False
 
     def replica_ids(self) -> Tuple[str, ...]:
         return tuple(f"r{i + 1}" for i in range(self.replica_count))
@@ -124,7 +123,7 @@ class Execution:
     """Applies steps to the replica array and keeps the oracles current."""
 
     def __init__(self, protocol: Consensus, replica_ids: Sequence[str],
-                 upkeep_after_propose: bool = False, check_invariants: bool = False):
+                 upkeep_after_propose: bool = False):
         self.protocol = protocol
         self.replica_ids = tuple(replica_ids)
         self.ctxs = [ReplicaContext(r) for r in self.replica_ids]
@@ -133,16 +132,14 @@ class Execution:
         self.merged_all = initial
         self.decisions = [protocol.decision(initial) for _ in self.replica_ids]
         self.upkeep_after_propose = upkeep_after_propose
-        self.check_invariants = check_invariants
+        # a protocol may state a per-action invariant; it is always checked
+        self.action_invariant = getattr(protocol, "check_action_invariant", None)
         self.invariant_violations: List[str] = []
 
     def _maybe_check(self, pre_state, delta, ctx) -> None:
-        if not self.check_invariants:
+        if self.action_invariant is None:
             return
-        checker = getattr(self.protocol, "check_action_invariant", None)
-        if checker is None:
-            return
-        problem = checker(pre_state, delta, ctx)
+        problem = self.action_invariant(pre_state, delta, ctx)
         if problem:
             self.invariant_violations.append(problem)
 
@@ -226,11 +223,7 @@ def run_one(protocol: Consensus, config: SimConfig, run_index: int = 0) -> RunRe
     seed = run_seed(config.rng_seed, run_index)
     rng = random.Random(seed)
     ids = config.replica_ids()
-    execution = Execution(
-        protocol, ids,
-        upkeep_after_propose=config.upkeep_after_propose,
-        check_invariants=config.check_protocol_invariants,
-    )
+    execution = Execution(protocol, ids, upkeep_after_propose=config.upkeep_after_propose)
     trace = RunTrace(seed=seed, replica_ids=ids)
     n = config.replica_count
     stall = 0

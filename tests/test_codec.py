@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 
 import pytest
 
@@ -93,6 +94,35 @@ def test_unknown_tag_rejected():
         codec.decode({"t": "no-such-tag"})
     with pytest.raises(ValueError):
         codec.decode({"no": "tag"})
+
+
+def test_record_rejects_a_key_count_that_does_not_match_the_fields():
+    @dataclass(frozen=True)
+    class Pair:
+        left: int
+        right: int
+
+    with pytest.raises(ValueError):
+        codec.record(Pair, "pair", "l")
+    with pytest.raises(ValueError):
+        codec.record(Pair, "pair", "l", "r", "x")
+
+
+def test_canonical_form_of_a_store_state_is_pinned():
+    # the canonical string is both the wire format and the tie-break
+    # order inside leading_value, so a renamed key must show up here
+    state = Epoch(1, PaxosState(MergeMap((
+        (BallotNum("n1", 1), PaxosRound(
+            VotingState.of(("n1", "n1")),
+            VotingState.of(("n1", Write("k", "v"))),
+        )),
+    ))))
+    assert codec.canon(state) == (
+        '{"n":1,"t":"epoch","v":{"rounds":{"t":"map","v":[[{"n":1,"t":"ballot","uid":"n1"},'
+        '{"le":{"t":"voting","v":{"t":"set","v":[{"p":"n1","t":"vote","v":"n1"}]}},'
+        '"prop":{"t":"voting","v":{"t":"set","v":[{"p":"n1","t":"vote","v":{"k":"k","t":"put","v":"v"}}]}},'
+        '"t":"round"}]]},"t":"paxos"}}'
+    )
 
 
 def test_duplicate_tag_registration_rejected():

@@ -93,6 +93,8 @@ def test_malformed_frames_are_dropped():
     assert core.on_envelope({"kind": "DELTA", "sender": "n2", "payload": {"t": "???"}}) == []
     assert core.on_envelope({"kind": "DELTA", "sender": "n2", "payload": 42}) == []
     assert core.on_envelope("not even a dict") == []
+    assert core.on_envelope({"kind": "SYNC_REQUEST", "sender": "nX"}) == []
+    assert core.on_envelope({"kind": "SYNC_REQUEST", "sender": ["x"]}) == []
 
 
 def test_epoch_hole_triggers_a_sync_request(memory_net):

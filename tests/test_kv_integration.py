@@ -7,6 +7,7 @@ import os
 import socket
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -60,11 +61,20 @@ def test_garbage_frames_do_not_take_the_server_down():
         with socket.create_connection((host, port), timeout=5) as sock:
             # JSON that is not an object must not end the connection
             sock.sendall(b'5\n"op"\n["op"]\n')
+            sock.sendall(b'{"kind": "SYNC_REQUEST", "sender": ["x"]}\n')
             sock.sendall(b'{"op": "put", "key": "same", "value": "socket"}\n')
             assert json.loads(sock.makefile("rb").readline()) == {"status": "ok"}
         with KvClient(host, port) as client:
             assert client.put("still", "alive") == {"status": "ok"}
             assert client.get("still") == {"status": "ok", "value": "alive"}
+
+
+def test_cluster_start_fails_fast_when_a_server_exits():
+    started = time.monotonic()
+    with pytest.raises(RuntimeError, match=r"server n1 exited with code 2"):
+        with kv_cluster(3, election_timeout_ms="x"):
+            pass
+    assert time.monotonic() - started < 5.0
 
 
 def test_local_bench_script_runs_from_a_checkout(tmp_path):

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prdt.lattice import Epoch, GrowSet, MergeList, MergeMap, leq, merge
+from prdt.protocols.paxos import BallotNum, PaxosRound, PaxosState
+from prdt.protocols.variants import ConfigRound, GenOp
 from prdt.protocols.voting import ParallelVotingState, VotingState
 
 settings.register_profile("suite", deadline=None, max_examples=100)
@@ -138,6 +140,11 @@ def test_mergemap_entries_are_key_sorted():
     (MergeMap.bottom(), MergeMap((("k", GrowSet.of(1)),))),
     (MergeList.bottom(), MergeList((GrowSet.of(1),))),
     (VotingState.bottom(), VotingState.of(("a", "cat"))),
+    (ParallelVotingState.bottom(), ParallelVotingState(second=VotingState.of(("a", "cat")))),
+    (PaxosRound.bottom(), PaxosRound(proposals=VotingState.of(("a", "cat")))),
+    (PaxosState.bottom(), PaxosState(MergeMap(((BallotNum("a", 1), PaxosRound()),)))),
+    (GenOp.bottom(), GenOp(predecessors=GrowSet.of(("a", 1)))),
+    (ConfigRound.bottom(), ConfigRound(GrowSet.of("a"))),
 ])
 def test_bottoms_are_empty_and_shared(bottom, nonempty):
     assert bottom != nonempty
