@@ -49,7 +49,7 @@ def main():
         report = run_random_test(protocol, config)
         elapsed = time.monotonic() - started
         status = "PASS" if report.ok else "FAIL"
-        print(f"{status} {name:10s} runs={config.runs} steps={config.steps_per_run} "
+        print(f"{status} {name:10s} runs={report.runs} steps={config.steps_per_run} "
               f"failures={report.failures} time={elapsed:.1f}s")
         if not report.ok:
             failed = True

@@ -169,10 +169,19 @@ def main(argv=None) -> int:
     from .kv.client import KvClient
     from .kv.server import parse_hostport
 
-    host, port = parse_hostport(args.server)
+    try:
+        host, port = parse_hostport(args.server)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        client = KvClient(host, port, timeout=30.0)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     workload = Workload(_CLI_KINDS[args.workload], args.ops, args.key_space, args.seed)
     partial = False
-    with KvClient(host, port, timeout=30.0) as client:
+    with client:
         try:
             records = run_workload(client, workload)
         except RuntimeError as exc:

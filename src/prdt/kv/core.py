@@ -27,12 +27,43 @@ from typing import Any, List, Optional
 
 from .. import codec
 from ..kernel import Decided, Invalid, ReplicaContext, UNDECIDED
-from ..protocols.paxos import phase1a
+from ..protocols.paxos import BallotNum, PaxosRound, PaxosState, phase1a
 from ..protocols.variants import MultiPaxos, in_epoch
-from ..protocols.voting import Membership
-from ..lattice import Epoch
+from ..protocols.voting import Membership, Vote, VotingState
+from ..lattice import Epoch, GrowSet, MergeMap
 from . import wire
-from .wire import Write
+from .wire import Read, Write
+
+
+def _is_op(value) -> bool:
+    if isinstance(value, Write):
+        return type(value.key) is str and type(value.value) is str
+    return isinstance(value, Read) and type(value.key) is str
+
+
+def _check_votes(votes, is_value) -> None:
+    if not (isinstance(votes, VotingState) and isinstance(votes.votes, GrowSet)):
+        raise ValueError(f"expected a voting, got {votes!r}")
+    for vote in votes.votes:
+        if not (isinstance(vote, Vote) and type(vote.voter) is str and is_value(vote.value)):
+            raise ValueError(f"malformed vote {vote!r}")
+
+
+def _check_state(state) -> None:
+    """Raise ``ValueError`` unless ``state`` has the shape of a store
+    state: an epoch over Paxos rounds whose elections vote replica ids
+    and whose proposals vote operations. A peer state of any other shape
+    would decode, merge and then break the next protocol step."""
+    if not (isinstance(state, Epoch) and type(state.counter) is int
+            and isinstance(state.value, PaxosState)
+            and isinstance(state.value.rounds, MergeMap)):
+        raise ValueError(f"expected a store state, got {state!r}")
+    for ballot, round_ in state.value.rounds.entries:
+        if not (isinstance(ballot, BallotNum) and type(ballot.uid) is str
+                and type(ballot.counter) is int and isinstance(round_, PaxosRound)):
+            raise ValueError(f"malformed round {ballot!r}: {round_!r}")
+        _check_votes(round_.leader_election, lambda v: type(v) is str)
+        _check_votes(round_.proposals, _is_op)
 
 
 @dataclass(frozen=True)
@@ -65,7 +96,6 @@ class ServerCore:
         # flushed as one envelope per peer when the handler returns. The
         # join of deltas is itself a delta, so coalescing is free.
         self._outgoing = self.protocol.bottom()
-        self._decision_memo = None
 
     # -- events ------------------------------------------------------
 
@@ -90,6 +120,7 @@ class ServerCore:
             kind = envelope["kind"]
             if kind == wire.DELTA:
                 delta = codec.decode(envelope["payload"])
+                _check_state(delta)
                 self._absorb(delta, sender, effects)
             elif kind == wire.SYNC_REQUEST:
                 effects.append(SendToPeer(
@@ -98,8 +129,15 @@ class ServerCore:
                 ))
             elif kind == wire.SYNC_RESPONSE:
                 payload = envelope["payload"]
-                self._adopt_log([codec.decode(doc) for doc in payload["log"]], effects)
-                self._absorb(codec.decode(payload["state"]), sender, effects)
+                state = codec.decode(payload["state"])
+                _check_state(state)
+                # entries below our own log's length are decided here already
+                missing = [codec.decode(doc) for doc in payload["log"][len(self.decided_ops):]]
+                if not all(map(_is_op, missing)):
+                    raise ValueError("sync log holds a non-operation")
+                for op in missing:
+                    self._append_decided(op, effects)
+                self._absorb(state, sender, effects)
         except (ValueError, KeyError, TypeError):
             # Malformed frames are dropped; the connection stays up and
             # any lost knowledge is recovered by a later sync.
@@ -129,15 +167,6 @@ class ServerCore:
     def _head_op(self):
         return self.pending[0][1] if self.pending else None
 
-    def _inner_decision(self):
-        # states are immutable, so identity is a sound memo key
-        memo = self._decision_memo
-        if memo is not None and memo[0] is self.state:
-            return memo[1]
-        decision = self.protocol.inner_decision(self.state)
-        self._decision_memo = (self.state, decision)
-        return decision
-
     def _reset_election(self) -> None:
         self.election_deadline = self.now + self.election_timeout
 
@@ -165,9 +194,6 @@ class ServerCore:
 
     def _absorb(self, incoming, sender: str, effects: List) -> None:
         """Merge peer knowledge, then take our next protocol step."""
-        if not isinstance(incoming, Epoch):
-            # decodable JSON, wrong state type: not ours to merge
-            raise ValueError(f"expected a replicated state, got {incoming!r}")
         merged = self.protocol.merge(self.state, incoming)
         if merged != self.state:
             self.state = merged
@@ -181,12 +207,6 @@ class ServerCore:
         self._apply_local(up)
         self._advance(effects)
         self._drive(effects)
-
-    def _adopt_log(self, their_log: List, effects: List) -> None:
-        if len(their_log) <= len(self.decided_ops):
-            return
-        for op in their_log[len(self.decided_ops):]:
-            self._append_decided(op, effects)
 
     def _append_decided(self, op, effects: List) -> None:
         index = len(self.decided_ops)
@@ -208,7 +228,7 @@ class ServerCore:
     def _advance(self, effects: List) -> None:
         """Snapshot every decided epoch into the log, then open the next one."""
         while True:
-            d = self._inner_decision()
+            d = self.protocol.inner_decision(self.state)
             if isinstance(d, Invalid):
                 raise AssertionError("replicated state became Invalid")
             if not isinstance(d, Decided):
@@ -232,7 +252,7 @@ class ServerCore:
         if not self.pending:
             self.election_deadline = None
             return
-        if self._inner_decision() != UNDECIDED:
+        if self.protocol.inner_decision(self.state) != UNDECIDED:
             # Decided but hole-blocked: proposing would advance the epoch
             # past a value not yet snapshotted. Wait for sync.
             return

@@ -8,6 +8,9 @@ Every replicated state in this package is a value of one of these types
 * ``bottom()`` is the neutral element: ``merge(bottom, a) == a``.
 * The partial order is derived: ``leq(a, b)`` iff ``merge(a, b) == b``
   under structural equality.
+* A merge that adds nothing returns the receiver: ``b ≤ a ⇒ a.merge(b)
+  is a``, so data cached on a value (a vote tally) survives it. Equality,
+  not identity, stays the test of "nothing changed".
 
 All values are immutable (frozen dataclasses over frozensets/tuples), so
 they are safe to share across threads and to use as dict keys or cache
@@ -70,9 +73,9 @@ class GrowSet(DefaultBottom):
         return cls(frozenset(elements))
 
     def merge(self, other: "GrowSet") -> "GrowSet":
-        if not other.elements:
+        if other.elements <= self.elements:
             return self
-        if not self.elements:
+        if self.elements <= other.elements:
             return other
         return GrowSet(self.elements | other.elements)
 
@@ -113,10 +116,14 @@ class MergeMap(DefaultBottom):
         if not self.entries:
             return other
         combined = dict(self.entries)
+        changed = False
         for key, value in other.entries:
             mine = combined.get(key)
-            combined[key] = value if mine is None else mine.merge(value)
-        return MergeMap(tuple(combined.items()))
+            joined = value if mine is None else mine.merge(value)
+            if joined is not mine:
+                combined[key] = joined
+                changed = True
+        return MergeMap(tuple(combined.items())) if changed else self
 
     def get(self, key, default=None):
         for k, v in self.entries:
@@ -160,6 +167,8 @@ class MergeList(DefaultBottom):
             return other
         shared = min(len(self.items), len(other.items))
         head = tuple(a.merge(b) for a, b in zip(self.items, other.items))
+        if len(self.items) >= len(other.items) and all(h is a for h, a in zip(head, self.items)):
+            return self
         tail = self.items[shared:] if len(self.items) > shared else other.items[shared:]
         return MergeList(head + tail)
 
@@ -191,7 +200,8 @@ class Epoch:
             return self
         if other.counter > self.counter:
             return other
-        return Epoch(self.counter, self.value.merge(other.value))
+        value = self.value.merge(other.value)
+        return self if value is self.value else Epoch(self.counter, value)
 
 
 @functools.cache
@@ -203,5 +213,10 @@ class ProductMixin(DefaultBottom):
     """Field-wise merge for frozen dataclasses whose fields are all lattices."""
 
     def merge(self, other):
-        cls = type(self)
-        return cls(*[getattr(self, name).merge(getattr(other, name)) for name in _field_names(cls)])
+        merged, changed = [], False
+        for name in _field_names(type(self)):
+            mine = getattr(self, name)
+            part = mine.merge(getattr(other, name))
+            changed |= part is not mine
+            merged.append(part)
+        return type(self)(*merged) if changed else self

@@ -24,7 +24,7 @@ the replica out of all rounds below b forever.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, total_ordering
+from functools import total_ordering
 from typing import Optional
 
 from .. import codec
@@ -125,7 +125,7 @@ def is_current_leader(state: PaxosState, membership: Membership, ctx: ReplicaCon
     if ballot is None:
         return False
     round_ = state.rounds.get(ballot)
-    return _voting_decision_cached(round_.leader_election, membership) == Decided(ctx.replica_id)
+    return voting_decision(round_.leader_election, membership) == Decided(ctx.replica_id)
 
 
 def phase2a(state: PaxosState, my_value, ctx: ReplicaContext, membership: Membership) -> PaxosState:
@@ -173,20 +173,6 @@ def phase2b(state: PaxosState, ctx: ReplicaContext) -> PaxosState:
     return _single_round(ballot, PaxosRound(proposals=VotingState.of((ctx.replica_id, value))))
 
 
-@lru_cache(maxsize=1 << 16)
-def _voting_decision_cached(votes: VotingState, membership: Membership) -> Agreement:
-    return voting_decision(votes, membership)
-
-
-@lru_cache(maxsize=1 << 16)
-def _round_decision(round_: PaxosRound, membership: Membership) -> Agreement:
-    """Per-round outcome: Invalid if either component is, else the proposal vote."""
-    le = _voting_decision_cached(round_.leader_election, membership)
-    if isinstance(le, Invalid):
-        return INVALID
-    return _voting_decision_cached(round_.proposals, membership)
-
-
 def decision(state: PaxosState, membership: Membership) -> Agreement:
     """Outcome over all rounds.
 
@@ -197,7 +183,9 @@ def decision(state: PaxosState, membership: Membership) -> Agreement:
     """
     outcome: Agreement = UNDECIDED
     for _, round_ in state.rounds.entries:
-        d = _round_decision(round_, membership)
+        if isinstance(voting_decision(round_.leader_election, membership), Invalid):
+            return INVALID
+        d = voting_decision(round_.proposals, membership)
         if isinstance(d, Invalid):
             return INVALID
         if isinstance(d, Decided):

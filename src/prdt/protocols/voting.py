@@ -10,6 +10,7 @@ guard and the decision are monotone.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any, Tuple
 
@@ -42,6 +43,11 @@ class VotingState(ProductMixin):
     @classmethod
     def of(cls, *pairs: Tuple[str, Any]) -> "VotingState":
         return cls(GrowSet(frozenset(Vote(p, v) for p, v in pairs)))
+
+    @functools.cached_property
+    def counts(self):
+        """``tally(self)``, computed once and kept on the value; never mutate it."""
+        return tally(self)
 
 
 @dataclass(frozen=True)
@@ -95,14 +101,14 @@ def tally(state: VotingState) -> dict:
 def leading_value(state: VotingState):
     """The value with the most distinct voters; ties broken by taking the
     least value in the canonical total order. None on an empty state."""
-    counts = tally(state)
+    counts = state.counts
     if not counts:
         return None
     return min(counts, key=lambda v: (-counts[v], canon(v)))
 
 
 def decision(state: VotingState, membership: Membership) -> Agreement:
-    counts = tally(state)
+    counts = state.counts
     if counts is None:
         return INVALID
     for value, n in counts.items():

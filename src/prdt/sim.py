@@ -40,9 +40,6 @@ class SimConfig:
     # Consecutive no-progress steps (while nothing is decided) before the
     # generator injects a recovery propose; None disables stall retry.
     stall_threshold: Optional[int] = None
-    # Upkeep normally runs only on merge targets; this switches on the
-    # variant that also runs it right after a propose.
-    upkeep_after_propose: bool = False
 
     def replica_ids(self) -> Tuple[str, ...]:
         return tuple(f"r{i + 1}" for i in range(self.replica_count))
@@ -122,8 +119,7 @@ class RunResult:
 class Execution:
     """Applies steps to the replica array and keeps the oracles current."""
 
-    def __init__(self, protocol: Consensus, replica_ids: Sequence[str],
-                 upkeep_after_propose: bool = False):
+    def __init__(self, protocol: Consensus, replica_ids: Sequence[str]):
         self.protocol = protocol
         self.replica_ids = tuple(replica_ids)
         self.ctxs = [ReplicaContext(r) for r in self.replica_ids]
@@ -131,7 +127,6 @@ class Execution:
         self.states = [initial for _ in self.replica_ids]
         self.merged_all = initial
         self.decisions = [protocol.decision(initial) for _ in self.replica_ids]
-        self.upkeep_after_propose = upkeep_after_propose
         # a protocol may state a per-action invariant; it is always checked
         self.action_invariant = getattr(protocol, "check_action_invariant", None)
         self.invariant_violations: List[str] = []
@@ -153,11 +148,6 @@ class Execution:
             self._maybe_check(old, delta, self.ctxs[slot])
             new = protocol.merge(old, delta)
             self.merged_all = protocol.merge(self.merged_all, delta)
-            if self.upkeep_after_propose:
-                up = protocol.upkeep(new, self.ctxs[slot])
-                self._maybe_check(new, up, self.ctxs[slot])
-                new = protocol.merge(new, up)
-                self.merged_all = protocol.merge(self.merged_all, up)
         else:
             slot = step.dst
             old = self.states[slot]
@@ -223,7 +213,7 @@ def run_one(protocol: Consensus, config: SimConfig, run_index: int = 0) -> RunRe
     seed = run_seed(config.rng_seed, run_index)
     rng = random.Random(seed)
     ids = config.replica_ids()
-    execution = Execution(protocol, ids, upkeep_after_propose=config.upkeep_after_propose)
+    execution = Execution(protocol, ids)
     trace = RunTrace(seed=seed, replica_ids=ids)
     n = config.replica_count
     stall = 0
@@ -265,12 +255,14 @@ class SimReport:
 
 
 def run_random_test(protocol: Consensus, config: SimConfig, stop_on_failure: bool = True) -> SimReport:
-    """The top-level verdict over `config.runs` independent runs."""
-    failures = 0
+    """The top-level verdict over up to `config.runs` independent runs;
+    `runs` in the report counts the runs that were made."""
+    runs = failures = 0
     first_failure = None
     last_trace = None
     for run_index in range(config.runs):
         result = run_one(protocol, config, run_index)
+        runs += 1
         last_trace = result.trace
         if not result.ok:
             failures += 1
@@ -278,14 +270,14 @@ def run_random_test(protocol: Consensus, config: SimConfig, stop_on_failure: boo
                 first_failure = result.trace
             if stop_on_failure:
                 break
-    return SimReport(runs=config.runs, failures=failures,
+    return SimReport(runs=runs, failures=failures,
                      first_failure=first_failure, last_trace=last_trace)
 
 
-def run_script(protocol: Consensus, steps: Sequence[SimStep], replica_ids: Sequence[str],
-               upkeep_after_propose: bool = False) -> List[List]:
+def run_script(protocol: Consensus, steps: Sequence[SimStep],
+               replica_ids: Sequence[str]) -> List[List]:
     """Deterministic scripted execution; returns the state array after each step."""
-    execution = Execution(protocol, replica_ids, upkeep_after_propose=upkeep_after_propose)
+    execution = Execution(protocol, replica_ids)
     snapshots = []
     for step in steps:
         execution.apply(step)
@@ -333,8 +325,9 @@ def run_fairness_epilogue(protocol: Consensus, execution: Execution, rng: random
 
 def check_lattice_laws(sample: Callable[[random.Random], Any], samples: int,
                        rng: random.Random, bottom=None) -> List[str]:
-    """Commutativity, associativity, idempotence, and bottom-neutrality
-    over randomized triples drawn from `sample`."""
+    """Commutativity, associativity, idempotence, bottom-neutrality, and
+    that a merge adding nothing returns the receiver itself, over
+    randomized triples drawn from `sample`."""
     problems: List[str] = []
     for i in range(samples):
         a, b, c = sample(rng), sample(rng), sample(rng)
@@ -347,6 +340,9 @@ def check_lattice_laws(sample: Callable[[random.Random], Any], samples: int,
             problems.append(f"triple {i}: merge not idempotent")
         if bottom is not None and bottom.merge(a) != a:
             problems.append(f"triple {i}: bottom not neutral")
+        if not (a.merge(a) is a and ab.merge(a) is ab and ab.merge(b) is ab
+                and (bottom is None or a.merge(bottom) is a)):
+            problems.append(f"triple {i}: a merge that adds nothing is not the receiver")
         if problems:
             break
     return problems

@@ -12,6 +12,7 @@ import pytest
 from prdt.bench import (
     BenchRecord,
     MIXED_50_50,
+    main,
     READ_ONLY,
     WRITE_ONLY,
     Workload,
@@ -22,6 +23,7 @@ from prdt.bench import (
     summarize,
     write_csv,
 )
+from prdt.kv.cluster import free_port
 
 
 def test_workloads_are_deterministic():
@@ -150,3 +152,16 @@ def test_run_workload_abort_attaches_partial_records():
         run_workload(client, Workload(WRITE_ONLY, 40, seed=3))
     partial = info.value.partial_records
     assert [r.op_index for r in partial] == list(range(7))
+
+
+@pytest.mark.parametrize("server,code", [
+    ("not-an-address", 2),
+    (None, 1),  # nothing listens: the connection is refused
+])
+def test_cli_fails_cleanly_without_a_server(tmp_path, capsys, server, code):
+    out = tmp_path / "out.csv"
+    server = server or f"127.0.0.1:{free_port()}"
+    argv = ["--server", server, "--workload", "write", "--ops", "5", "--out", str(out)]
+    assert main(argv) == code
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()

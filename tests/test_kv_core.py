@@ -12,6 +12,24 @@ from prdt.kv.wire import Write
 from prdt.protocols.paxos import BallotNum
 
 
+EMPTY_VOTING = {"t": "voting", "v": {"t": "set", "v": []}}
+BOTTOM_STATE = {"t": "epoch", "n": 0, "v": {"t": "paxos", "rounds": {"t": "map", "v": []}}}
+WRONG_INNER_STATE = {
+    "kind": "DELTA", "sender": "n2",
+    "payload": {"t": "epoch", "n": 5, "v": {"t": "set", "v": []}},
+}
+STRING_ROUND_KEY = {
+    "kind": "DELTA", "sender": "n2",
+    "payload": {"t": "epoch", "n": 0, "v": {"t": "paxos", "rounds": {"t": "map", "v": [
+        ["x", {"t": "round", "le": EMPTY_VOTING, "prop": EMPTY_VOTING}],
+    ]}}},
+}
+NON_OP_SYNC_LOG = {
+    "kind": "SYNC_RESPONSE", "sender": "n2",
+    "payload": {"state": BOTTOM_STATE, "log": [{"t": "set", "v": []}]},
+}
+
+
 def roundtrip(envelope: dict) -> dict:
     return json.loads(wire.encode_frame(envelope))
 
@@ -95,6 +113,14 @@ def test_malformed_frames_are_dropped():
     assert core.on_envelope("not even a dict") == []
     assert core.on_envelope({"kind": "SYNC_REQUEST", "sender": "nX"}) == []
     assert core.on_envelope({"kind": "SYNC_REQUEST", "sender": ["x"]}) == []
+    # decodable states of the wrong shape are dropped before any merge
+    for frame in (WRONG_INNER_STATE, STRING_ROUND_KEY, NON_OP_SYNC_LOG):
+        assert core.on_envelope(frame) == []
+        assert core.state == core.protocol.bottom()
+        assert core.decided_ops == []
+    net = MemoryNet()
+    assert net.cores["n1"].on_envelope(STRING_ROUND_KEY) == []
+    assert net.put("n1", "k", "v") == {"status": "ok"}
 
 
 def test_epoch_hole_triggers_a_sync_request(memory_net):

@@ -1,5 +1,6 @@
 """Merge laws for every combinator: commutative, associative,
-idempotent, bottom-neutral, all under structural equality."""
+idempotent, bottom-neutral, all under structural equality; and a merge
+that adds nothing returns the receiver itself."""
 
 from __future__ import annotations
 
@@ -40,6 +41,12 @@ def assert_laws(a, b, c, bottom):
     assert bottom.merge(a) == a
     assert a.merge(bottom) == a
     assert leq(a, merge(a, b))
+    # a merge that adds nothing returns the receiver itself
+    j = a.merge(b)
+    assert a.merge(a) is a
+    assert a.merge(bottom) is a
+    assert j.merge(a) is j
+    assert j.merge(b) is j
 
 
 @given(grow_sets, grow_sets, grow_sets)

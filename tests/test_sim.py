@@ -246,8 +246,12 @@ def test_random_report_counts_failures():
     assert report.failures == 1  # stop_on_failure
     assert report.first_failure is not None
     assert report.first_failure.violations
+    # the report counts the runs made: here the first run already fails
+    assert report.runs == 1
+    assert report.first_failure.seed == run_seed(77, report.runs - 1)
     healthy = run_random_test(Voting(membership), cfg)
     assert healthy.ok and healthy.failures == 0
+    assert healthy.runs == 50
     assert healthy.last_trace is not None
 
 
@@ -263,11 +267,3 @@ def test_sim_cli_runs_and_writes_a_trace(tmp_path, capsys):
     assert "failures=0" in capsys.readouterr().out
     assert read_trace(str(out)).replica_ids == ("r1", "r2", "r3")
     assert main(["--protocol", "voting", "--replicas", "0"]) == 2
-
-
-def test_upkeep_after_propose_stays_safe():
-    cfg = SimConfig(
-        replica_count=3, steps_per_run=40, runs=5, rng_seed=4,
-        upkeep_after_propose=True,
-    )
-    assert run_random_test(paxos3(), cfg).ok
