@@ -87,19 +87,20 @@ def generate_ops(workload: Workload) -> List[Tuple[str, str, str]]:
 def run_workload(client, workload: Workload) -> List[BenchRecord]:
     """Issue the workload sequentially over an open client connection.
 
-    Any failed operation aborts the run; records collected so far are
-    attached to the raised error so a partial CSV can be flagged.
+    Any failed operation (an error response, a broken connection or an
+    unparseable reply) aborts the run with a ``RuntimeError``; records
+    collected so far are attached to it so a partial CSV can be flagged.
     """
     records: List[BenchRecord] = []
     for index, (kind, key, value) in enumerate(generate_ops(workload)):
         started = time.perf_counter_ns()
-        if kind == "put":
-            response = client.put(key, value)
-        else:
-            response = client.get(key)
+        try:
+            response = client.put(key, value) if kind == "put" else client.get(key)
+        except (OSError, ValueError) as exc:
+            response = exc
         latency_us = (time.perf_counter_ns() - started) // 1000
-        if response.get("status") not in ("ok", "not_found"):
-            error = RuntimeError(f"operation {index} failed: {response}")
+        if not isinstance(response, dict) or response.get("status") not in ("ok", "not_found"):
+            error = RuntimeError(f"operation {index} failed: {response!r}")
             error.partial_records = records
             raise error
         records.append(BenchRecord(index, kind, latency_us, time.time_ns() // 1000))

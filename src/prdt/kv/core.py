@@ -1,22 +1,27 @@
 """Transport-free server logic: one event in, a list of effects out.
 
-The core owns the replicated state and is driven by three event kinds:
-a client request, a peer envelope, and a clock tick. It never touches
-sockets; effects say what to transmit. All state mutation happens on the
-caller's single thread, so snapshots handed to effects are immutable
-values and safe to serialize elsewhere.
+The core owns the replicated state and is driven by four event kinds:
+a client request, a peer envelope, a peer (re)connect and a clock tick.
+It never touches sockets; effects say what to transmit. All state
+mutation happens on the caller's single thread, so snapshots handed to
+effects are immutable values and safe to serialize elsewhere.
 
 The consensus instance is one epoch of a stable-leader protocol per log
-entry. Because advancing an epoch discards the decided instance, the
-decided operation is appended to the local log *before* the advance;
-replicas that missed an epoch entirely detect the hole (epoch counter
-ahead of log length) and recover the missing prefix via sync, which
-carries the log alongside the state.
+entry. Every event that can change the state ends in one progress loop
+(``_progress``): upkeep, unless it already ran on this very state, then
+act on the epoch's decision until it stops changing. Decided appends
+the value to the local log *before* the advance discards the epoch; a
+replica whose epoch counter is ahead of its log length has a hole and
+waits for the sync exchange, which carries the log alongside the state,
+to fill it. Undecided proposes the head operation once per (epoch,
+request). Invalid raises: the state can never be valid again, so the
+caller must fail stop.
 
 One client operation is serviced at a time, in arrival order. The head
 operation is re-proposed every epoch until the log accepts it; a decided
-epoch answers the client whose operation it holds. An election timer
-restarts the ballot when the head operation makes no progress.
+epoch answers the client whose operation it holds. Reads are answered
+from the map the log applies to. An election timer restarts the ballot
+when the head operation makes no progress.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 from typing import Any, List, Optional
 
 from .. import codec
-from ..kernel import Decided, Invalid, ReplicaContext, UNDECIDED
+from ..kernel import Decided, Invalid, ReplicaContext
 from ..protocols.paxos import BallotNum, PaxosRound, PaxosState, phase1a
 from ..protocols.variants import MultiPaxos, in_epoch
 from ..protocols.voting import Membership, Vote, VotingState
@@ -87,11 +92,14 @@ class ServerCore:
         self.protocol = MultiPaxos(self.membership)
         self.state = self.protocol.bottom()
         self.decided_ops: List = []
+        # the map the decided log applies to; reads are answered from it
+        self.values: dict = {}
         self.pending = deque()
         self.now = 0.0
         self.election_timeout = election_timeout
         self.election_deadline: Optional[float] = None
         self._last_proposal_key = None
+        self._upkept = None  # the state upkeep last ran on
         # Join of the deltas generated while handling the current event;
         # flushed as one envelope per peer when the handler returns. The
         # join of deltas is itself a delta, so coalescing is free.
@@ -107,7 +115,7 @@ class ServerCore:
             effects.append(Respond(request_id, wire.error_response("bad request")))
             return effects
         self.pending.append((request_id, op))
-        self._drive(effects)
+        self._progress(effects)
         return self._flush(effects)
 
     def on_envelope(self, frame: dict) -> List:
@@ -159,13 +167,10 @@ class ServerCore:
             restart = in_epoch(self.state.counter, phase1a(self.state.value, self.ctx))
             self._apply_local(restart)
             self._reset_election()
-            self._after_state_change(effects)
+            self._progress(effects)
         return self._flush(effects)
 
     # -- internals ---------------------------------------------------
-
-    def _head_op(self):
-        return self.pending[0][1] if self.pending else None
 
     def _reset_election(self) -> None:
         self.election_deadline = self.now + self.election_timeout
@@ -200,69 +205,60 @@ class ServerCore:
         if self.state.counter > len(self.decided_ops):
             # The merge jumped past an epoch we never saw decided.
             effects.append(SendToPeer(sender, wire.sync_request_envelope(self.uid)))
-        self._after_state_change(effects)
+        self._progress(effects)
 
-    def _after_state_change(self, effects: List) -> None:
-        up = self.protocol.upkeep(self.state, self.ctx, pending=self._head_op())
-        self._apply_local(up)
-        self._advance(effects)
-        self._drive(effects)
-
-    def _append_decided(self, op, effects: List) -> None:
-        index = len(self.decided_ops)
-        self.decided_ops.append(op)
-        if self.pending and self.pending[0][1] == op:
-            request_id, _ = self.pending.popleft()
-            effects.append(Respond(request_id, self._response_for(op, index)))
-            self._last_proposal_key = None
-            self.election_deadline = None
-
-    def _response_for(self, op, index: int) -> dict:
-        if isinstance(op, Write):
-            return wire.ok_response()
-        for prior in reversed(self.decided_ops[:index]):
-            if isinstance(prior, Write) and prior.key == op.key:
-                return wire.ok_response(prior.value)
-        return wire.not_found_response()
-
-    def _advance(self, effects: List) -> None:
-        """Snapshot every decided epoch into the log, then open the next one."""
+    def _progress(self, effects: List) -> None:
+        """The replica's one step after any event: upkeep, then act on
+        the epoch's decision until there is nothing left to do."""
+        if self.state is not self._upkept:
+            # Upkeep is a function of the state and the head operation,
+            # and the head matters only to a leader with no proposal yet,
+            # which the propose below covers: rerun on the same state
+            # (a client request, a duplicate delta) it adds nothing.
+            head = self.pending[0][1] if self.pending else None
+            self._apply_local(self.protocol.upkeep(self.state, self.ctx, pending=head))
+            self._upkept = self.state
         while True:
             d = self.protocol.inner_decision(self.state)
             if isinstance(d, Invalid):
-                raise AssertionError("replicated state became Invalid")
-            if not isinstance(d, Decided):
-                return
-            if self.state.counter > len(self.decided_ops):
-                # Hole below the current epoch: wait for sync to fill it
-                # before appending, or indices would lie.
-                return
-            if self.state.counter == len(self.decided_ops):
-                self._append_decided(d.value, effects)
-            advance = self.protocol.next_decision(self.state, self.ctx)
-            # The advance delta discards this epoch when joined, so any
-            # not-yet-sent evidence that decided it must ship first as
-            # its own envelope or peers would see a hole.
-            self._flush(effects)
-            if not self._apply_local(advance):
+                raise AssertionError(f"replicated state became Invalid in epoch {self.state.counter}")
+            if isinstance(d, Decided):
+                if self.state.counter > len(self.decided_ops):
+                    # Hole below the current epoch: wait for sync to fill
+                    # it before appending, or indices would lie.
+                    return
+                if self.state.counter == len(self.decided_ops):
+                    self._append_decided(d.value, effects)
+                # The advance discards this epoch when joined, so any
+                # not-yet-sent evidence that decided it must ship first
+                # as its own envelope or peers would see a hole.
+                self._flush(effects)
+                step = self.protocol.next_decision(self.state, self.ctx)
+            else:
+                # Propose the head operation once per (epoch, request).
+                if not self.pending:
+                    return
+                request_id, op = self.pending[0]
+                if self._last_proposal_key == (self.state.counter, request_id):
+                    return
+                self._last_proposal_key = (self.state.counter, request_id)
+                if self.election_deadline is None:
+                    self._reset_election()
+                step = self.protocol.propose(self.state, op, self.ctx)
+            if not self._apply_local(step):
                 return
 
-    def _drive(self, effects: List) -> None:
-        """Propose the head operation once per (epoch, head)."""
-        if not self.pending:
+    def _append_decided(self, op, effects: List) -> None:
+        self.decided_ops.append(op)
+        if isinstance(op, Write):
+            self.values[op.key] = op.value
+            response = wire.ok_response()
+        elif op.key in self.values:
+            response = wire.ok_response(self.values[op.key])
+        else:
+            response = wire.not_found_response()
+        if self.pending and self.pending[0][1] == op:
+            request_id, _ = self.pending.popleft()
+            effects.append(Respond(request_id, response))
+            self._last_proposal_key = None
             self.election_deadline = None
-            return
-        if self.protocol.inner_decision(self.state) != UNDECIDED:
-            # Decided but hole-blocked: proposing would advance the epoch
-            # past a value not yet snapshotted. Wait for sync.
-            return
-        op = self.pending[0][1]
-        key = (self.state.counter, self.pending[0][0])
-        if self._last_proposal_key == key:
-            return
-        self._last_proposal_key = key
-        if self.election_deadline is None:
-            self._reset_election()
-        delta = self.protocol.propose(self.state, op, self.ctx)
-        if self._apply_local(delta):
-            self._advance(effects)

@@ -1,24 +1,28 @@
 """TCP shell around the server core.
 
 One thread accepts connections and one reader thread per connection
-parses frames and runs the core handler directly under a state lock, so
-the hot path costs no cross-thread handoff; client request, incoming
-envelope, and timer tick are serialized against the local state by that
-lock, and state mutation stays single-writer. Outbound peer links write
-from the calling thread while healthy and fall back to a sender thread
-with automatic reconnect, so a slow or dead peer never blocks a handler;
-anything lost while a link was down is repaired by the sync exchange
-that runs on every (re)connect.
+parses frames. Every event (client request, peer envelope, peer
+connect, timer tick) enters the core through ``Server._handle``, which
+runs the handler under the state lock on the calling thread (no handoff;
+one writer) and then carries out its effects, or fails the node stop if
+the handler raises. Outbound peer links write from the calling thread
+while healthy and fall back to a sender thread with automatic reconnect,
+so a slow or dead peer never blocks a handler; anything lost while a
+link was down is repaired by the sync exchange run on every (re)connect.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
+import os
 import queue
 import socket
 import sys
 import threading
 import time
+import traceback
 
 from . import wire
 from .core import Respond, SendToPeer, ServerCore
@@ -119,7 +123,8 @@ class Server:
         self.core = ServerCore(uid, tuple(peers), election_timeout_ms / 1000.0)
         self.listen_addr = listen
         self.state_lock = threading.Lock()
-        self.links = {pid: PeerLink(pid, addr, self._peer_connected) for pid, addr in peers.items()}
+        on_connected = functools.partial(self._handle, self.core.on_peer_connected)
+        self.links = {pid: PeerLink(pid, addr, on_connected) for pid, addr in peers.items()}
         self._responders = {}
         self._request_seq = 0
         self._resp_lock = threading.Lock()
@@ -134,13 +139,17 @@ class Server:
             link.start()
         while True:
             time.sleep(_TICK_SECONDS)
-            with self.state_lock:
-                effects = self.core.on_tick(time.monotonic())
-            self._execute(effects)
+            self._handle(self.core.on_tick, time.monotonic())
 
-    def _peer_connected(self, uid: str) -> None:
+    def _handle(self, handler, *args) -> None:
+        """Run a core handler under the state lock, then carry out its
+        effects. If it raises, fail stop: exit nonzero, lock still held."""
         with self.state_lock:
-            effects = self.core.on_peer_connected(uid)
+            try:
+                effects = handler(*args)
+            except Exception:
+                traceback.print_exc()
+                os._exit(1)
         self._execute(effects)
 
     def _accept_loop(self, listener: socket.socket) -> None:
@@ -157,25 +166,18 @@ class Server:
                 if not isinstance(frame, dict):
                     continue
                 if "kind" in frame:
-                    with self.state_lock:
-                        effects = self.core.on_envelope(frame)
+                    self._handle(self.core.on_envelope, frame)
                 elif "op" in frame:
                     with self._resp_lock:
                         self._request_seq += 1
                         request_id = self._request_seq
                         self._responders[request_id] = wfile
-                    with self.state_lock:
-                        effects = self.core.on_client_request(request_id, frame)
-                else:
-                    continue
-                self._execute(effects)
+                    self._handle(self.core.on_client_request, request_id, frame)
         finally:
-            try:
+            with contextlib.suppress(OSError):
                 rfile.close()
                 wfile.close()
                 conn.close()
-            except OSError:
-                pass
 
     def _execute(self, effects) -> None:
         frames = {}
@@ -183,23 +185,20 @@ class Server:
             if isinstance(effect, SendToPeer):
                 link = self.links.get(effect.peer)
                 if link is not None:
-                    # the same envelope object goes to several peers;
-                    # serialize it once
-                    frame = frames.get(id(effect.envelope))
-                    if frame is None:
-                        frame = wire.encode_frame(effect.envelope)
-                        frames[id(effect.envelope)] = frame
-                    link.send(effect.envelope, frame)
+                    # serialize an envelope sent to several peers once
+                    key = id(effect.envelope)
+                    if key not in frames:
+                        frames[key] = wire.encode_frame(effect.envelope)
+                    link.send(effect.envelope, frames[key])
             elif isinstance(effect, Respond):
                 with self._resp_lock:
                     fileobj = self._responders.pop(effect.request_id, None)
                     if fileobj is None:
                         continue
-                    try:
+                    # a client that hung up (closed file: ValueError) loses it
+                    with contextlib.suppress(OSError, ValueError):
                         fileobj.write(wire.encode_frame(effect.response))
                         fileobj.flush()
-                    except OSError:
-                        pass
 
 
 def build_parser() -> argparse.ArgumentParser:

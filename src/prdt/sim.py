@@ -125,7 +125,10 @@ class Execution:
         self.ctxs = [ReplicaContext(r) for r in self.replica_ids]
         initial = protocol.initial_state()
         self.states = [initial for _ in self.replica_ids]
+        # the join of every slot and its decision, recomputed only when
+        # a merge returns a new object, which is when the join grew
         self.merged_all = initial
+        self.joined_decision = protocol.decision(initial)
         self.decisions = [protocol.decision(initial) for _ in self.replica_ids]
         # a protocol may state a per-action invariant; it is always checked
         self.action_invariant = getattr(protocol, "check_action_invariant", None)
@@ -147,15 +150,17 @@ class Execution:
             delta = protocol.propose(old, step.value, self.ctxs[slot])
             self._maybe_check(old, delta, self.ctxs[slot])
             new = protocol.merge(old, delta)
-            self.merged_all = protocol.merge(self.merged_all, delta)
         else:
             slot = step.dst
             old = self.states[slot]
             merged = protocol.merge(old, self.states[step.src])
-            up = protocol.upkeep(merged, self.ctxs[slot])
-            self._maybe_check(merged, up, self.ctxs[slot])
-            new = protocol.merge(merged, up)
-            self.merged_all = protocol.merge(self.merged_all, up)
+            delta = protocol.upkeep(merged, self.ctxs[slot])
+            self._maybe_check(merged, delta, self.ctxs[slot])
+            new = protocol.merge(merged, delta)
+        joined = protocol.merge(self.merged_all, delta)
+        if joined is not self.merged_all:
+            self.merged_all = joined
+            self.joined_decision = protocol.decision(joined)
         if new == old:
             return False
         self.states[slot] = new
@@ -166,22 +171,20 @@ class Execution:
         return any(isinstance(d, Decided) for d in self.decisions)
 
     def oracle_violations(self) -> List[str]:
-        found = check_oracles(self.protocol, self.states, self.decisions, self.merged_all)
+        found = check_oracles(self.protocol, self.decisions, self.joined_decision)
         found.extend(self.invariant_violations)
         self.invariant_violations = []
         return found
 
 
-def check_oracles(protocol: Consensus, states: Sequence, decisions: Optional[Sequence] = None,
-                  merged_all=None) -> List[str]:
-    """The three safety oracles over a replica array.
+def check_oracles(protocol: Consensus, decisions: Sequence, joined_decision) -> List[str]:
+    """The three safety oracles over the slots' decisions and the
+    decision of the join of all slots.
 
     Agreement is required per consensus instance (see
     Consensus.decision_instance): a replica whose decision belongs to a
     later instance is ahead, not in disagreement.
     """
-    if decisions is None:
-        decisions = [protocol.decision(s) for s in states]
     found: List[str] = []
     decided: dict = {}
     for i, d in enumerate(decisions):
@@ -195,11 +198,7 @@ def check_oracles(protocol: Consensus, states: Sequence, decisions: Optional[Seq
             j, v2 = group[idx]
             if v1 != v2:
                 found.append(f"slots {i} and {j} decided different values: {v1!r} vs {v2!r}")
-    if merged_all is None and states:
-        merged_all = states[0]
-        for s in states[1:]:
-            merged_all = protocol.merge(merged_all, s)
-    if merged_all is not None and isinstance(protocol.decision(merged_all), Invalid):
+    if isinstance(joined_decision, Invalid):
         found.append("decision of the join of all slots is Invalid")
     return found
 

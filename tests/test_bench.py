@@ -6,6 +6,8 @@ import io
 import json
 import math
 import random
+import socket
+import threading
 
 import pytest
 
@@ -165,3 +167,29 @@ def test_cli_fails_cleanly_without_a_server(tmp_path, capsys, server, code):
     assert main(argv) == code
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def test_cli_keeps_the_partial_run_when_the_server_hangs_up(tmp_path, capsys):
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def answer_once_then_close():
+        conn, _ = listener.accept()
+        with conn, conn.makefile("rb") as rfile:
+            rfile.readline()
+            conn.sendall(b'{"status": "ok"}\n')
+
+    server = threading.Thread(target=answer_once_then_close, daemon=True)
+    server.start()
+    out = tmp_path / "out.csv"
+    argv = ["--server", f"127.0.0.1:{listener.getsockname()[1]}",
+            "--workload", "write", "--ops", "5", "--out", str(out)]
+    try:
+        assert main(argv) == 1
+    finally:
+        server.join(timeout=5)
+        listener.close()
+    assert not server.is_alive()
+    assert capsys.readouterr().err.startswith("error: operation 1 failed")
+    body, partial = out.read_text().split("# PARTIAL")
+    assert [r.op_index for r in read_csv(io.StringIO(body))] == [0]
+    assert partial == ": run aborted before completing the workload\n"

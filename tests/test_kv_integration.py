@@ -12,8 +12,14 @@ from pathlib import Path
 
 import pytest
 
+import prdt
+from prdt.kv import wire
 from prdt.kv.client import KvClient, main as client_main
-from prdt.kv.cluster import kv_cluster
+from prdt.kv.cluster import free_port, kv_cluster, wait_listening
+from prdt.kv.wire import Write
+from prdt.lattice import Epoch, MergeMap
+from prdt.protocols.paxos import BallotNum, PaxosRound, PaxosState
+from prdt.protocols.voting import VotingState
 
 pytestmark = pytest.mark.integration
 
@@ -67,6 +73,44 @@ def test_garbage_frames_do_not_take_the_server_down():
         with KvClient(host, port) as client:
             assert client.put("still", "alive") == {"status": "ok"}
             assert client.get("still") == {"status": "ok", "value": "alive"}
+
+
+def test_clients_that_hang_up_before_their_answers_are_harmless(capfd):
+    with kv_cluster(3) as addrs:
+        host, port = addrs["n1"]
+        for i in range(20):
+            with socket.create_connection((host, port), timeout=5) as sock:
+                sock.sendall(wire.encode_frame({"op": "put", "key": f"gone{i}", "value": "x"}))
+        with KvClient(host, port) as client:
+            assert client.put("after", "hangups") == {"status": "ok"}
+            assert client.get("gone19") == {"status": "ok", "value": "x"}
+    err = capfd.readouterr().err
+    assert "Traceback" not in err, err
+
+
+def test_a_node_whose_state_turns_invalid_fails_stop():
+    port, dead = free_port(), free_port()
+    source_root = str(Path(prdt.__file__).resolve().parent.parent)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "prdt.kv.server", "--id", "n1", "--listen", f"127.0.0.1:{port}",
+         "--peers", f"n2=127.0.0.1:{dead},n3=127.0.0.1:{dead}"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=source_root),
+    )
+    try:
+        wait_listening("n1", proc, "127.0.0.1", port)
+        # n2 votes for two different proposals in one round
+        proposals = VotingState.of(("n2", Write("k", "a")), ("n2", Write("k", "b")))
+        round_ = PaxosRound(leader_election=VotingState.of(("n2", "n2")), proposals=proposals)
+        delta = Epoch(0, PaxosState(MergeMap({BallotNum("n2", 1): round_})))
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            sock.sendall(wire.encode_frame(wire.delta_envelope("n2", delta)))
+            assert proc.wait(timeout=5) != 0
+        assert "replicated state became Invalid" in proc.stderr.read()
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
 
 
 def test_cluster_start_fails_fast_when_a_server_exits():

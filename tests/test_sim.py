@@ -3,6 +3,7 @@ oracles, and the law/monotonicity checkers the acceptance sweeps use."""
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 
@@ -151,18 +152,24 @@ def test_trace_json_rejects_unknown_step_kind():
 
 def test_oracles_flag_invalid_and_disagreement():
     protocol = Voting(Membership.of("a", "b", "c"))
+
+    def oracles(states):
+        joined = functools.reduce(protocol.merge, states)
+        return check_oracles(protocol, [protocol.decision(s) for s in states],
+                             protocol.decision(joined))
+
     invalid = VotingState.of(("a", "cat"), ("a", "dog"))
-    found = check_oracles(protocol, [invalid, VotingState.bottom()])
+    found = oracles([invalid, VotingState.bottom()])
     assert found[0] == "slot 0 is Invalid"
     assert "decision of the join of all slots is Invalid" in found
     split = [
         VotingState.of(("a", "cat"), ("b", "cat")),
         VotingState.of(("a", "dog"), ("b", "dog")),
     ]
-    found = check_oracles(protocol, split)
+    found = oracles(split)
     assert "slots 0 and 1 decided different values: 'cat' vs 'dog'" in found
     assert "decision of the join of all slots is Invalid" in found
-    assert check_oracles(protocol, [VotingState.bottom()] * 3) == []
+    assert oracles([VotingState.bottom()] * 3) == []
 
 
 def test_fairness_epilogue_reaches_decisions_everywhere():
