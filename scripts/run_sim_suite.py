@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Run the random-testing harness across every registered protocol.
 
-Prints one line per configuration. Exits nonzero if any run fails, with
-the counterexample trace written next to this script.
+Prints one line per configuration, with the number of runs in which some
+replica decided (printed only: a protocol that decides nothing does not
+fail). Exits nonzero if any run fails, with the counterexample trace
+written next to this script.
 """
 
 import argparse
@@ -50,7 +52,8 @@ def main():
         elapsed = time.monotonic() - started
         status = "PASS" if report.ok else "FAIL"
         print(f"{status} {name:10s} runs={report.runs} steps={config.steps_per_run} "
-              f"failures={report.failures} time={elapsed:.1f}s")
+              f"failures={report.failures} decided_runs={report.decided_runs} "
+              f"time={elapsed:.1f}s")
         if not report.ok:
             failed = True
             trace_path = Path(__file__).parent / f"counterexample-{name}.json"

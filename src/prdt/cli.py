@@ -47,7 +47,7 @@ def main(argv=None) -> int:
     print(
         f"protocol={args.protocol} replicas={args.replicas} runs={report.runs} "
         f"steps={args.steps} seed={args.seed} failures={report.failures} "
-        f"elapsed={elapsed:.2f}s"
+        f"decided_runs={report.decided_runs} elapsed={elapsed:.2f}s"
     )
     trace = report.first_failure or report.last_trace
     if args.trace_out and trace is not None:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import random
 import socket
 import subprocess
 import sys
@@ -17,10 +18,31 @@ import prdt
 _SOURCE_ROOT = str(Path(prdt.__file__).resolve().parent.parent)
 
 
-def free_port() -> int:
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
+# Listen ports come from below the usual ephemeral range (32768 and up).
+# A port the kernel hands out for bind(0) can be taken, before its server
+# binds it, as the local port of a peer's outgoing connection.
+PORTS = range(20000, 32000)
+_port_rng = random.Random()
+
+
+def free_ports(count: int) -> list:
+    """``count`` distinct loopback ports from ``PORTS`` that bind right now."""
+    if not 0 <= count <= len(PORTS):
+        raise ValueError(f"cannot draw {count} distinct ports from {len(PORTS)}")
+    ports: list = []
+    while len(ports) < count:
+        port = _port_rng.choice(PORTS)
+        if port in ports:
+            continue
+        with socket.socket() as sock:
+            # as the server binds its listener
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            try:
+                sock.bind(("127.0.0.1", port))
+            except OSError:
+                continue
+        ports.append(port)
+    return ports
 
 
 def wait_listening(uid: str, proc: subprocess.Popen, host: str, port: int,
@@ -51,8 +73,8 @@ def kv_cluster(node_count: int = 3, links=None, election_timeout_ms: int = 500):
     Servers write to the caller's stderr, so a crash shows its traceback.
     """
     uids = [f"n{i + 1}" for i in range(node_count)]
-    addrs = {uid: ("127.0.0.1", free_port()) for uid in uids}
-    dead_port = free_port()
+    *ports, dead_port = free_ports(node_count + 1)
+    addrs = {uid: ("127.0.0.1", port) for uid, port in zip(uids, ports)}
     inherited = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=_SOURCE_ROOT + (os.pathsep + inherited if inherited else ""))
     procs = []

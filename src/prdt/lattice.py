@@ -11,6 +11,12 @@ Every replicated state in this package is a value of one of these types
 * A merge that adds nothing returns the receiver: ``b ≤ a ⇒ a.merge(b)
   is a``, so data cached on a value (a vote tally) survives it. Equality,
   not identity, stays the test of "nothing changed".
+* Sets and product records also return the argument when the receiver
+  adds nothing to it (``a < b ⇒ a.merge(b) is b``), and
+  ``MergeMap.merge`` is one linear walk over the two key-sorted entry
+  tuples that keeps every entry it does not change as the very pair it
+  was on its side. So replicas and successive states share their
+  unchanged values, and with them whatever those values cache.
 
 All values are immutable (frozen dataclasses over frozensets/tuples), so
 they are safe to share across threads and to use as dict keys or cache
@@ -110,20 +116,60 @@ class MergeMap(DefaultBottom):
         entries = tuple(sorted(entries, key=lambda kv: kv[0]))
         object.__setattr__(self, "entries", entries)
 
+    @classmethod
+    def _of_sorted(cls, entries: Tuple[tuple, ...]) -> "MergeMap":
+        """An instance over entries already strictly sorted by key."""
+        made = object.__new__(cls)
+        object.__setattr__(made, "entries", entries)
+        return made
+
     def merge(self, other: "MergeMap") -> "MergeMap":
-        if not other.entries:
+        """One walk over both key-sorted entry tuples.
+
+        An entry whose value the merge leaves unchanged is kept as the
+        very pair it was on its side, so the values under it (and what
+        they cache) are shared, not copied.
+        """
+        if other is self or not other.entries:
             return self
         if not self.entries:
             return other
-        combined = dict(self.entries)
+        mine, theirs = self.entries, other.entries
+        m, n = len(mine), len(theirs)
+        out = []
         changed = False
-        for key, value in other.entries:
-            mine = combined.get(key)
-            joined = value if mine is None else mine.merge(value)
-            if joined is not mine:
-                combined[key] = joined
+        i = j = 0
+        while i < m and j < n:
+            a, b = mine[i], theirs[j]
+            if a is b:
+                out.append(a)
+                i += 1
+                j += 1
+                continue
+            key = a[0]
+            if key == b[0]:
+                joined = a[1].merge(b[1])
+                if joined is a[1]:
+                    out.append(a)
+                else:
+                    out.append(b if joined is b[1] else (key, joined))
+                    changed = True
+                i += 1
+                j += 1
+            elif key < b[0]:
+                out.append(a)
+                i += 1
+            else:
+                out.append(b)
                 changed = True
-        return MergeMap(tuple(combined.items())) if changed else self
+                j += 1
+        if j < n:
+            out.extend(theirs[j:])
+        elif changed:
+            out.extend(mine[i:])
+        else:
+            return self
+        return MergeMap._of_sorted(tuple(out))
 
     def get(self, key, default=None):
         for k, v in self.entries:
@@ -210,13 +256,25 @@ def _field_names(cls) -> Tuple[str, ...]:
 
 
 class ProductMixin(DefaultBottom):
-    """Field-wise merge for frozen dataclasses whose fields are all lattices."""
+    """Field-wise merge for frozen dataclasses whose fields are all lattices.
+
+    The receiver is returned when every merged field is its own, else the
+    argument when every merged field is the argument's.
+    """
 
     def merge(self, other):
-        merged, changed = [], False
+        if other is self:
+            return self
+        merged, mine_kept, theirs_kept = [], True, True
         for name in _field_names(type(self)):
             mine = getattr(self, name)
-            part = mine.merge(getattr(other, name))
-            changed |= part is not mine
+            theirs = getattr(other, name)
+            part = mine.merge(theirs)
+            mine_kept &= part is mine
+            theirs_kept &= part is theirs
             merged.append(part)
-        return type(self)(*merged) if changed else self
+        if mine_kept:
+            return self
+        if theirs_kept:
+            return other
+        return type(self)(*merged)

@@ -19,12 +19,19 @@ the lattice:
 The promise of classic Paxos is implicit: a replica only ever acts on
 its highest ballot, and states only grow, so confirming ballot b freezes
 the replica out of all rounds below b forever.
+
+The current round is the last entry of the key-sorted ``rounds``. A
+decision is the agreement join of the rounds' outcomes, and each round
+keeps its outcome per membership on itself. Rounds are shared objects:
+a merge keeps an unchanged round as the same object across replicas
+and successive states, so each round is tallied once, not once per
+state that holds it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import total_ordering
+from functools import cached_property, total_ordering
 from typing import Optional
 
 from .. import codec
@@ -36,6 +43,8 @@ from ..kernel import (
     Invalid,
     ReplicaContext,
     UNDECIDED,
+    Undecided,
+    agreement_join,
 )
 from ..lattice import MergeMap, ProductMixin
 from .voting import Membership, VotingState, decision as voting_decision, leading_value
@@ -57,6 +66,27 @@ class BallotNum:
 class PaxosRound(ProductMixin):
     leader_election: VotingState = VotingState()
     proposals: VotingState = VotingState()
+
+    @cached_property
+    def _outcomes(self) -> dict:
+        return {}
+
+    def outcome(self, membership: Membership) -> Agreement:
+        """Invalid if either voting is; else the proposals' decision.
+
+        Computed once per membership and kept on the round, like a
+        voting's ``counts``, keyed by the member set that defines the
+        membership.
+        """
+        outcomes = self._outcomes
+        found = outcomes.get(membership.members)
+        if found is None:
+            if isinstance(voting_decision(self.leader_election, membership), Invalid):
+                found = INVALID
+            else:
+                found = voting_decision(self.proposals, membership)
+            outcomes[membership.members] = found
+        return found
 
 
 @dataclass(frozen=True)
@@ -102,10 +132,9 @@ def phase1b(state: PaxosState, ctx: ReplicaContext) -> PaxosState:
     value this replica accepted (scanned from its own state), so the two
     facts always travel together.
     """
-    ballot = state.current_ballot()
-    if ballot is None:
+    if not state.rounds.entries:
         return PaxosState.bottom()
-    round_ = state.rounds.get(ballot)
+    ballot, round_ = state.rounds.entries[-1]
     candidate = leading_value(round_.leader_election)
     if candidate is None or _has_voted(round_.leader_election, ctx.replica_id):
         return PaxosState.bottom()
@@ -121,10 +150,9 @@ def phase1b(state: PaxosState, ctx: ReplicaContext) -> PaxosState:
 
 
 def is_current_leader(state: PaxosState, membership: Membership, ctx: ReplicaContext) -> bool:
-    ballot = state.current_ballot()
-    if ballot is None:
+    if not state.rounds.entries:
         return False
-    round_ = state.rounds.get(ballot)
+    round_ = state.rounds.entries[-1][1]
     return voting_decision(round_.leader_election, membership) == Decided(ctx.replica_id)
 
 
@@ -138,8 +166,7 @@ def phase2a(state: PaxosState, my_value, ctx: ReplicaContext, membership: Member
     """
     if not is_current_leader(state, membership, ctx):
         return PaxosState.bottom()
-    ballot = state.current_ballot()
-    round_ = state.rounds.get(ballot)
+    ballot, round_ = state.rounds.entries[-1]
     if _has_voted(round_.proposals, ctx.replica_id):
         return PaxosState.bottom()
     value = my_value
@@ -161,10 +188,9 @@ def phase2b(state: PaxosState, ctx: ReplicaContext) -> PaxosState:
     Enabled while the current round has a proposal the local replica has
     not yet voted for.
     """
-    ballot = state.current_ballot()
-    if ballot is None:
+    if not state.rounds.entries:
         return PaxosState.bottom()
-    round_ = state.rounds.get(ballot)
+    ballot, round_ = state.rounds.entries[-1]
     if _has_voted(round_.proposals, ctx.replica_id):
         return PaxosState.bottom()
     value = leading_value(round_.proposals)
@@ -174,7 +200,7 @@ def phase2b(state: PaxosState, ctx: ReplicaContext) -> PaxosState:
 
 
 def decision(state: PaxosState, membership: Membership) -> Agreement:
-    """Outcome over all rounds.
+    """Outcome over all rounds: the agreement join of their outcomes.
 
     Decided(v) if any round's proposals reach quorum on v; Invalid if any
     round's component voting is Invalid or two rounds decide differently;
@@ -183,15 +209,11 @@ def decision(state: PaxosState, membership: Membership) -> Agreement:
     """
     outcome: Agreement = UNDECIDED
     for _, round_ in state.rounds.entries:
-        if isinstance(voting_decision(round_.leader_election, membership), Invalid):
-            return INVALID
-        d = voting_decision(round_.proposals, membership)
-        if isinstance(d, Invalid):
-            return INVALID
-        if isinstance(d, Decided):
-            if isinstance(outcome, Decided) and outcome.value != d.value:
-                return INVALID
-            outcome = d
+        found = round_.outcome(membership)
+        if not isinstance(found, Undecided):
+            outcome = agreement_join(outcome, found)
+            if isinstance(outcome, Invalid):
+                return outcome
     return outcome
 
 
@@ -205,10 +227,9 @@ def upkeep(state: PaxosState, ctx: ReplicaContext, membership: Membership, pendi
     the candidate (phase1b). Upkeep never opens a new ballot: restarts
     are runtime policy, not protocol state.
     """
-    ballot = state.current_ballot()
-    if ballot is None:
+    if not state.rounds.entries:
         return PaxosState.bottom()
-    round_ = state.rounds.get(ballot)
+    round_ = state.rounds.entries[-1][1]
     if round_.proposals.votes:
         return phase2b(state, ctx)
     if is_current_leader(state, membership, ctx):
@@ -232,7 +253,7 @@ class Paxos(Consensus):
         anyone else opens a fresh ballot. Once the state is decided (or
         poisoned) there is nothing left to propose.
         """
-        if decision(state, self.membership) != UNDECIDED:
+        if not isinstance(decision(state, self.membership), Undecided):
             return PaxosState.bottom()
         if is_current_leader(state, self.membership, ctx):
             return phase2a(state, value, ctx, self.membership)

@@ -247,6 +247,9 @@ class SimReport:
     failures: int
     first_failure: Optional[RunTrace]
     last_trace: Optional[RunTrace]
+    # runs in which some slot was Decided after some step; not only at
+    # the end, since an epoch protocol's decision resets when it advances
+    decided_runs: int
 
     @property
     def ok(self) -> bool:
@@ -255,22 +258,25 @@ class SimReport:
 
 def run_random_test(protocol: Consensus, config: SimConfig, stop_on_failure: bool = True) -> SimReport:
     """The top-level verdict over up to `config.runs` independent runs;
-    `runs` in the report counts the runs that were made."""
-    runs = failures = 0
+    `runs` in the report counts the runs that were made, and
+    `decided_runs` those in which some slot was ever Decided."""
+    runs = failures = decided_runs = 0
     first_failure = None
     last_trace = None
     for run_index in range(config.runs):
         result = run_one(protocol, config, run_index)
         runs += 1
         last_trace = result.trace
+        if any(isinstance(d, Decided) for row in last_trace.decisions for d in row):
+            decided_runs += 1
         if not result.ok:
             failures += 1
             if first_failure is None:
                 first_failure = result.trace
             if stop_on_failure:
                 break
-    return SimReport(runs=runs, failures=failures,
-                     first_failure=first_failure, last_trace=last_trace)
+    return SimReport(runs=runs, failures=failures, first_failure=first_failure,
+                     last_trace=last_trace, decided_runs=decided_runs)
 
 
 def run_script(protocol: Consensus, steps: Sequence[SimStep],

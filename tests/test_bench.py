@@ -25,7 +25,7 @@ from prdt.bench import (
     summarize,
     write_csv,
 )
-from prdt.kv.cluster import free_port
+from prdt.kv.cluster import free_ports
 
 
 def test_workloads_are_deterministic():
@@ -162,7 +162,7 @@ def test_run_workload_abort_attaches_partial_records():
 ])
 def test_cli_fails_cleanly_without_a_server(tmp_path, capsys, server, code):
     out = tmp_path / "out.csv"
-    server = server or f"127.0.0.1:{free_port()}"
+    server = server or f"127.0.0.1:{free_ports(1)[0]}"
     argv = ["--server", server, "--workload", "write", "--ops", "5", "--out", str(out)]
     assert main(argv) == code
     assert capsys.readouterr().err.startswith("error: ")

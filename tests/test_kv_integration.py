@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import socket
 import subprocess
 import sys
@@ -13,9 +14,9 @@ from pathlib import Path
 import pytest
 
 import prdt
-from prdt.kv import wire
+from prdt.kv import cluster, wire
 from prdt.kv.client import KvClient, main as client_main
-from prdt.kv.cluster import free_port, kv_cluster, wait_listening
+from prdt.kv.cluster import PORTS, free_ports, kv_cluster, wait_listening
 from prdt.kv.wire import Write
 from prdt.lattice import Epoch, MergeMap
 from prdt.protocols.paxos import BallotNum, PaxosRound, PaxosState
@@ -89,7 +90,7 @@ def test_clients_that_hang_up_before_their_answers_are_harmless(capfd):
 
 
 def test_a_node_whose_state_turns_invalid_fails_stop():
-    port, dead = free_port(), free_port()
+    port, dead = free_ports(2)
     source_root = str(Path(prdt.__file__).resolve().parent.parent)
     proc = subprocess.Popen(
         [sys.executable, "-m", "prdt.kv.server", "--id", "n1", "--listen", f"127.0.0.1:{port}",
@@ -111,6 +112,21 @@ def test_a_node_whose_state_turns_invalid_fails_stop():
         proc.kill()
         proc.wait()
         proc.stderr.close()
+
+
+def test_free_ports_are_distinct_unbound_and_below_the_ephemeral_range(monkeypatch):
+    ports = free_ports(50)
+    assert len(set(ports)) == 50
+    assert all(port in PORTS for port in ports)
+    # a port that is already bound is skipped: take the first port a
+    # seeded draw would return, then draw with that seed
+    taken = random.Random(3).choice(PORTS)
+    with socket.create_server(("127.0.0.1", taken)):
+        monkeypatch.setattr(cluster, "_port_rng", random.Random(3))
+        drawn = free_ports(3)
+    assert taken not in drawn and len(set(drawn)) == 3
+    with pytest.raises(ValueError):
+        free_ports(len(PORTS) + 1)
 
 
 def test_cluster_start_fails_fast_when_a_server_exits():

@@ -156,3 +156,50 @@ def test_mergemap_entries_are_key_sorted():
 def test_bottoms_are_empty_and_shared(bottom, nonempty):
     assert bottom != nonempty
     assert type(bottom).bottom() is bottom
+
+
+def _map_pair(keys, values):
+    """Two MergeMaps over ``keys``: each key is on the left only, on the
+    right only, on both sides as two pairs, or on both sides as one
+    shared pair object."""
+
+    def build(spec):
+        left, right = [], []
+        for key, (where, mine, theirs) in spec.items():
+            if where == "shared":
+                pair = (key, mine)
+                left.append(pair)
+                right.append(pair)
+            if where in ("left", "both"):
+                left.append((key, mine))
+            if where in ("right", "both"):
+                right.append((key, theirs))
+        return MergeMap(tuple(left)), MergeMap(tuple(right))
+
+    where = st.sampled_from(["left", "right", "both", "shared"])
+    return st.dictionaries(keys, st.tuples(where, values, values), max_size=8).map(build)
+
+
+ballots = st.builds(BallotNum, st.sampled_from(["r1", "r2", "r3"]), st.integers(1, 4))
+name_keys = st.tuples(st.sampled_from(["r1", "r2", "r3"]), st.integers(1, 4))
+
+
+@pytest.mark.parametrize("keys,values", [(ballots, votings), (name_keys, grow_sets)],
+                         ids=["ballots", "tuples"])
+@given(data=st.data())
+def test_mergemap_merge_matches_the_dict_union(keys, values, data):
+    left, right = data.draw(_map_pair(keys, values))
+    reference = dict(left.entries)
+    for key, value in right.entries:
+        reference[key] = reference[key].merge(value) if key in reference else value
+    out = left.merge(right)
+    assert out == MergeMap(tuple(reference.items()))
+    assert all(a[0] < b[0] for a, b in zip(out.entries, out.entries[1:]))
+    # an entry whose value the merge did not change is a side's own pair
+    sides = [{pair[0]: pair for pair in m.entries} for m in (left, right)]
+    for pair in out.entries:
+        kept = [side[pair[0]] for side in sides if pair[0] in side and side[pair[0]][1] == pair[1]]
+        if kept:
+            assert pair is kept[0]
+    assert_laws(left, right, out, MergeMap.bottom())
+    assert out.merge(left) is out and out.merge(right) is out

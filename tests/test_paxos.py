@@ -9,7 +9,14 @@ import random
 import pytest
 
 from conftest import harvest
-from prdt.kernel import Decided, INVALID, ReplicaContext, UNDECIDED, agreement_leq
+from prdt.kernel import (
+    Decided,
+    INVALID,
+    ReplicaContext,
+    UNDECIDED,
+    agreement_join,
+    agreement_leq,
+)
 from prdt.lattice import MergeMap
 from prdt.protocols.paxos import (
     BallotNum,
@@ -24,7 +31,7 @@ from prdt.protocols.paxos import (
     phase2b,
     upkeep,
 )
-from prdt.protocols.voting import Membership, VotingState
+from prdt.protocols.voting import Membership, VotingState, tally
 
 IDS = Membership.of("id1", "id2", "id3")
 ID1, ID2, ID3 = (ReplicaContext(f"id{i}") for i in (1, 2, 3))
@@ -194,6 +201,47 @@ def test_decision_flags_invalid_components():
         )),
     )
     assert decision(double_prop, IDS) == INVALID
+
+
+R3 = Membership.of("r1", "r2", "r3")
+R5 = Membership.of("r1", "r2", "r3", "r4", "r5")
+
+
+@pytest.mark.parametrize("first,second", [(R3, R5), (R5, R3)], ids=["3-then-5", "5-then-3"])
+def test_round_outcome_is_kept_per_membership(first, second):
+    round_ = round_of(leader_votes=[("r1", "r1"), ("r2", "r1")],
+                      proposal_votes=[("r1", "v"), ("r2", "v")])
+    expected = {R3: Decided("v"), R5: UNDECIDED}
+    state = state_of((BallotNum("r1", 1), round_))
+    for membership in (first, second, first):
+        assert round_.outcome(membership) == expected[membership]
+        assert decision(state, membership) == expected[membership]
+
+
+def uncached_decision(state: PaxosState, membership: Membership):
+    """The decision recomputed from the votes: a fold over ``tally``."""
+    outcome = UNDECIDED
+    for _, round_ in state.rounds.entries:
+        counts = tally(round_.proposals)
+        if tally(round_.leader_election) is None or counts is None:
+            return INVALID
+        for value, n in counts.items():
+            if n >= membership.quorum:
+                outcome = agreement_join(outcome, Decided(value))
+    return outcome
+
+
+def test_decision_matches_an_uncached_fold_under_either_membership():
+    # rounds are shared across the harvested states and already carry
+    # the outcomes their runs (over R3) read; R5 reads them afterwards
+    states, _ = harvest(Paxos(R3), runs=40, max_steps=40, seed=19)
+    decided = {R3: 0, R5: 0}
+    for membership in (R3, R5, R3):
+        for state in states:
+            expected = uncached_decision(state, membership)
+            assert decision(state, membership) == expected
+            decided[membership] += isinstance(expected, Decided)
+    assert decided[R3] > decided[R5] > 0
 
 
 def test_upkeep_ladder():

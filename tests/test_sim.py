@@ -3,16 +3,21 @@ oracles, and the law/monotonicity checkers the acceptance sweeps use."""
 
 from __future__ import annotations
 
+import dataclasses
 import functools
+import hashlib
 import json
 import random
 
 import pytest
 
 from conftest import BuggyVoting, harvest
+from prdt import codec
 from prdt.kernel import Decided, UNDECIDED
 from prdt.lattice import GrowSet
+from prdt.protocols import PROTOCOLS, make_protocol
 from prdt.protocols.paxos import Paxos
+from prdt.protocols.variants import MultiPaxos
 from prdt.protocols.voting import Membership, Voting, VotingState
 from prdt.sim import (
     Execution,
@@ -274,3 +279,40 @@ def test_sim_cli_runs_and_writes_a_trace(tmp_path, capsys):
     assert "failures=0" in capsys.readouterr().out
     assert read_trace(str(out)).replica_ids == ("r1", "r2", "r3")
     assert main(["--protocol", "voting", "--replicas", "0"]) == 2
+
+
+def test_random_report_counts_decided_runs():
+    membership = Membership.of("r1", "r2", "r3")
+    cfg = SimConfig(replica_count=3, steps_per_run=100, runs=30, rng_seed=42, stall_threshold=8)
+    report = run_random_test(MultiPaxos(membership), cfg)
+    traces = [run_one(MultiPaxos(membership), cfg, i).trace for i in range(cfg.runs)]
+    ever = sum(any(isinstance(d, Decided) for row in t.decisions for d in row) for t in traces)
+    at_end = sum(any(isinstance(d, Decided) for d in t.decisions[-1]) for t in traces)
+    # a MultiPaxos decision resets when its epoch advances, so a run
+    # that decided need not end decided
+    assert report.decided_runs == ever > at_end
+    silent = dataclasses.replace(cfg, steps_per_run=2)
+    assert run_random_test(Paxos(membership), silent).decided_runs == 0
+
+
+# sha256 over codec.canon of every final state and every trace decision
+# of 40 runs per registered protocol; any change to what the tester
+# does, decides or encodes moves it
+TESTER_DIGEST = "71bb3771f4c32e63812a1590601429ce917f28d3f03012a8f0ff471b6119dd7e"
+
+
+def test_tester_runs_are_pinned():
+    config = SimConfig(replica_count=3, steps_per_run=60, value_pool=("a", "b"),
+                       rng_seed=5, stall_threshold=8)
+    membership = Membership(frozenset(config.replica_ids()))
+    digest = hashlib.sha256()
+    for name in sorted(PROTOCOLS):
+        protocol = make_protocol(name, membership)
+        for run_index in range(40):
+            result = run_one(protocol, config, run_index)
+            for state in result.final_states:
+                digest.update(codec.canon(state).encode() + b"\n")
+            for row in result.trace.decisions:
+                for d in row:
+                    digest.update(codec.canon(d).encode() + b"\n")
+    assert digest.hexdigest() == TESTER_DIGEST
