@@ -12,10 +12,13 @@ entry. Every event that can change the state ends in one progress loop
 act on the epoch's decision until it stops changing. Decided appends
 the value to the local log *before* the advance discards the epoch; a
 replica whose epoch counter is ahead of its log length has a hole and
-waits for the sync exchange, which carries the log alongside the state,
-to fill it. Undecided proposes the head operation once per (epoch,
-request). Invalid raises: the state can never be valid again, so the
-caller must fail stop.
+waits for the sync exchange to fill it. A sync request carries the
+requester's log length; the response carries the state plus only the
+log entries past that length, and the receiver adopts those past its
+own length, which may have grown while the response was in flight.
+Undecided proposes the head operation once per (epoch, request).
+Invalid raises: the state can never be valid again, so the caller must
+fail stop.
 
 One client operation is serviced at a time, in arrival order. The head
 operation is re-proposed every epoch until the log accepts it; a decided
@@ -44,6 +47,13 @@ def _is_op(value) -> bool:
     if isinstance(value, Write):
         return type(value.key) is str and type(value.value) is str
     return isinstance(value, Read) and type(value.key) is str
+
+
+def _log_index(value) -> int:
+    """A log position named by a peer: a non-negative int, not a bool."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"malformed log index {value!r}")
+    return value
 
 
 def _check_votes(votes, is_value) -> None:
@@ -131,16 +141,22 @@ class ServerCore:
                 _check_state(delta)
                 self._absorb(delta, sender, effects)
             elif kind == wire.SYNC_REQUEST:
+                # ship only the log suffix the requester lacks
+                start = min(_log_index(envelope["payload"]["have"]), len(self.decided_ops))
                 effects.append(SendToPeer(
                     sender,
-                    wire.sync_response_envelope(self.uid, self.state, self.decided_ops),
+                    wire.sync_response_envelope(self.uid, self.state, self.decided_ops, start),
                 ))
             elif kind == wire.SYNC_RESPONSE:
                 payload = envelope["payload"]
+                start = _log_index(payload["from"])
+                if start > len(self.decided_ops):
+                    raise ValueError(f"sync suffix from {start} skips past our log")
                 state = codec.decode(payload["state"])
                 _check_state(state)
-                # entries below our own log's length are decided here already
-                missing = [codec.decode(doc) for doc in payload["log"][len(self.decided_ops):]]
+                # suffix entries below our own log's length are decided here already
+                missing = [codec.decode(doc)
+                           for doc in payload["log"][len(self.decided_ops) - start:]]
                 if not all(map(_is_op, missing)):
                     raise ValueError("sync log holds a non-operation")
                 for op in missing:
@@ -156,7 +172,7 @@ class ServerCore:
         # Full state is a valid delta, so pushing it plus requesting the
         # peer's own repairs both directions after a reconnect.
         return [
-            SendToPeer(peer, wire.sync_request_envelope(self.uid)),
+            self._sync_request(peer),
             SendToPeer(peer, wire.delta_envelope(self.uid, self.state)),
         ]
 
@@ -171,6 +187,10 @@ class ServerCore:
         return self._flush(effects)
 
     # -- internals ---------------------------------------------------
+
+    def _sync_request(self, peer: str) -> SendToPeer:
+        """Ask ``peer`` for its state and the log past our own length."""
+        return SendToPeer(peer, wire.sync_request_envelope(self.uid, len(self.decided_ops)))
 
     def _reset_election(self) -> None:
         self.election_deadline = self.now + self.election_timeout
@@ -204,7 +224,7 @@ class ServerCore:
             self.state = merged
         if self.state.counter > len(self.decided_ops):
             # The merge jumped past an epoch we never saw decided.
-            effects.append(SendToPeer(sender, wire.sync_request_envelope(self.uid)))
+            effects.append(self._sync_request(sender))
         self._progress(effects)
 
     def _progress(self, effects: List) -> None:

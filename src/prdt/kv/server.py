@@ -59,7 +59,9 @@ class PeerLink:
     for reconnect/backoff and drains whatever the fast path could not
     take. The two paths share a write lock, so frames never interleave;
     they may reorder, which the protocol tolerates by construction
-    (deltas commute, sync carries full state).
+    (deltas commute, and a sync response carries the full state plus
+    the log suffix past the requester's length, of which the receiver
+    keeps only what its own log lacks).
     """
 
     def __init__(self, uid: str, addr, on_connected):

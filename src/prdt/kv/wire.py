@@ -1,12 +1,16 @@
 """Wire format: newline-delimited JSON frames over TCP.
 
 Peer frames are envelopes ``{sender, kind, payload}`` where kind is
-DELTA, SYNC_REQUEST, or SYNC_RESPONSE and the payload carries canonical
-state serialization (a delta or a full state; sync responses also carry
-the decided-operation log). Client frames are ``{op, key, value?}``
-requests answered by ``{status, value?}`` responses. Duplicated or
-reordered peer frames are harmless by construction: merging is
-idempotent and commutative.
+DELTA, SYNC_REQUEST, or SYNC_RESPONSE. A DELTA payload is the canonical
+serialization of a delta (a full state is a delta too). A sync request
+says how much decided log the requester holds, ``{have}``; the response
+carries the responder's state plus only the log suffix past that point,
+``{state, from, log}``, where ``log`` holds the entries at indices
+``from`` onwards. Client frames are ``{op, key, value?}`` requests
+answered by ``{status, value?}`` responses. Duplicated or reordered peer
+frames are harmless by construction: merging is idempotent and
+commutative, and a receiver adopts only the suffix entries past its own
+log.
 """
 
 from __future__ import annotations
@@ -57,17 +61,20 @@ def delta_envelope(sender: str, delta) -> dict:
     return {"sender": sender, "kind": DELTA, "payload": codec.encode(delta)}
 
 
-def sync_request_envelope(sender: str) -> dict:
-    return {"sender": sender, "kind": SYNC_REQUEST, "payload": None}
+def sync_request_envelope(sender: str, have: int) -> dict:
+    """Ask a peer for its state and the decided log past entry ``have``."""
+    return {"sender": sender, "kind": SYNC_REQUEST, "payload": {"have": have}}
 
 
-def sync_response_envelope(sender: str, state, decided_ops) -> dict:
+def sync_response_envelope(sender: str, state, decided_ops, start: int) -> dict:
+    """Ship ``state`` and the log suffix ``decided_ops[start:]``."""
     return {
         "sender": sender,
         "kind": SYNC_RESPONSE,
         "payload": {
             "state": codec.encode(state),
-            "log": [codec.encode(op) for op in decided_ops],
+            "from": start,
+            "log": [codec.encode(op) for op in decided_ops[start:]],
         },
     }
 

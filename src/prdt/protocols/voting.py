@@ -104,6 +104,9 @@ def leading_value(state: VotingState):
     counts = state.counts
     if not counts:
         return None
+    if len(counts) == 1:
+        # one candidate cannot tie; skip rendering its canonical form
+        return next(iter(counts))
     return min(counts, key=lambda v: (-counts[v], canon(v)))
 
 

@@ -26,8 +26,21 @@ STRING_ROUND_KEY = {
 }
 NON_OP_SYNC_LOG = {
     "kind": "SYNC_RESPONSE", "sender": "n2",
-    "payload": {"state": BOTTOM_STATE, "log": [{"t": "set", "v": []}]},
+    "payload": {"state": BOTTOM_STATE, "from": 0, "log": [{"t": "set", "v": []}]},
 }
+PUT_DOC = {"t": "put", "k": "k", "v": "v"}
+EPOCH_1_STATE = {"t": "epoch", "n": 1, "v": {"t": "paxos", "rounds": {"t": "map", "v": []}}}
+# log positions that are not non-negative ints, or start past our log
+HOSTILE_SYNC_FRAMES = [
+    {"kind": "SYNC_REQUEST", "sender": "n2", "payload": None},
+    *({"kind": "SYNC_REQUEST", "sender": "n2", "payload": {"have": have}}
+      for have in (-1, True, "3")),
+    {"kind": "SYNC_RESPONSE", "sender": "n2",
+     "payload": {"state": EPOCH_1_STATE, "log": [PUT_DOC]}},
+    *({"kind": "SYNC_RESPONSE", "sender": "n2",
+       "payload": {"state": EPOCH_1_STATE, "from": start, "log": [PUT_DOC]}}
+      for start in (True, -1, 1)),
+]
 
 
 def roundtrip(envelope: dict) -> dict:
@@ -114,7 +127,7 @@ def test_malformed_frames_are_dropped():
     assert core.on_envelope({"kind": "SYNC_REQUEST", "sender": "nX"}) == []
     assert core.on_envelope({"kind": "SYNC_REQUEST", "sender": ["x"]}) == []
     # decodable states of the wrong shape are dropped before any merge
-    for frame in (WRONG_INNER_STATE, STRING_ROUND_KEY, NON_OP_SYNC_LOG):
+    for frame in (WRONG_INNER_STATE, STRING_ROUND_KEY, NON_OP_SYNC_LOG, *HOSTILE_SYNC_FRAMES):
         assert core.on_envelope(frame) == []
         assert core.state == core.protocol.bottom()
         assert core.decided_ops == []
@@ -136,11 +149,61 @@ def test_epoch_hole_triggers_a_sync_request(memory_net):
         if isinstance(e, SendToPeer) and e.envelope["kind"] == wire.SYNC_REQUEST
     ]
     assert [e.peer for e in wants_sync] == ["n2"]
+    assert wants_sync[0].envelope["payload"] == {"have": 0}
     assert fresh.decided_ops == []
-    response = roundtrip(wire.sync_response_envelope("n2", donor.state, donor.decided_ops))
+    response = roundtrip(wire.sync_response_envelope("n2", donor.state, donor.decided_ops, 0))
     fresh.on_envelope(response)
     assert fresh.decided_ops == donor.decided_ops
     assert fresh.state.counter == len(fresh.decided_ops)
+
+
+def test_rejoining_node_receives_only_the_missed_suffix():
+    before, missed = 20, 3
+    net = MemoryNet()
+    for i in range(before):
+        assert net.put("n1", f"k{i}", "old") == {"status": "ok"}
+    net.blocked = {("n3", "n1"), ("n1", "n3"), ("n3", "n2"), ("n2", "n3")}
+    for i in range(missed):
+        assert net.put("n1", f"k{i}", "new") == {"status": "ok"}
+    rejoiner = net.cores["n3"]
+    assert len(rejoiner.decided_ops) == before
+    received = []
+    deliver = rejoiner.on_envelope
+
+    def recording(frame):
+        received.append(frame)
+        return deliver(frame)
+
+    rejoiner.on_envelope = recording
+    net.blocked.clear()
+    net._pump("n3", rejoiner.on_peer_connected("n1"))
+    net._pump("n1", net.cores["n1"].on_peer_connected("n3"))
+    responses = [f["payload"] for f in received if f["kind"] == wire.SYNC_RESPONSE]
+    assert responses
+    for payload in responses:
+        assert payload["from"] == before
+        assert len(payload["log"]) <= missed
+    assert rejoiner.decided_ops == net.cores["n1"].decided_ops
+    assert rejoiner.state.counter == len(rejoiner.decided_ops) == before + missed
+    assert net.get("n3", "k0") == {"status": "ok", "value": "new"}
+
+
+def test_sync_suffix_overlapping_the_log_adopts_only_the_new_entries():
+    net = MemoryNet()
+    for key in ("a", "b"):
+        net.put("n1", key, "1")
+    net.blocked = {("n1", "n3"), ("n2", "n3")}
+    for key in ("c", "d"):
+        net.put("n1", key, "1")
+    donor, behind = net.cores["n1"], net.cores["n3"]
+    assert len(behind.decided_ops) == 2
+    # the suffix starts at 1, below the receiver's length 2: entry 1 is
+    # already decided here, so only entries 2 and 3 are appended
+    response = roundtrip(wire.sync_response_envelope("n1", donor.state, donor.decided_ops, 1))
+    assert len(response["payload"]["log"]) == 3
+    behind.on_envelope(response)
+    assert behind.decided_ops == donor.decided_ops
+    assert behind.state.counter == len(behind.decided_ops) == 4
 
 
 def test_restarted_node_recovers_via_connect(memory_net):

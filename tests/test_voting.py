@@ -73,6 +73,11 @@ def test_leading_value_counts_and_tie_break():
     assert leading_value(VotingState.of(("a", "dog"), ("b", "dog"), ("c", "cat"))) == "dog"
     # tie: the least value in the canonical order wins, deterministically
     assert leading_value(VotingState.of(("a", "dog"), ("b", "cat"))) == "cat"
+    # 9 < 10 as numbers, but "10" < "9" as canonical strings: the
+    # canonical order decides the tie, not Python's order
+    assert leading_value(VotingState.of(("a", 9), ("b", 10))) == 10
+    assert leading_value(VotingState.of(("a", 9), ("b", 10), ("c", 9))) == 9
+    assert leading_value(VotingState.of(("a", "cat"))) == "cat"
 
 
 def test_voting_adapter():
