@@ -1,35 +1,36 @@
-"""TCP shell around the server core.
+"""TCP shell around the server core: one thread runs one ``selectors``
+loop that owns the core and every socket, all non-blocking.
 
-One thread accepts connections and one reader thread per connection
-parses frames. Every event (client request, peer envelope, peer
-connect, timer tick) enters the core through ``Server._handle``, which
-runs the handler under the state lock on the calling thread (no handoff;
-one writer) and then carries out its effects, or fails the node stop if
-the handler raises. Outbound peer links write from the calling thread
-while healthy and fall back to a sender thread with automatic reconnect,
-so a slow or dead peer never blocks a handler; anything lost while a
-link was down is repaired by the sync exchange run on every (re)connect.
+Every event (client request, peer envelope, peer connect, timer tick)
+enters the core through ``Server._run``, which carries out its effects.
+An exception from a handler is not caught, so a node whose state turns
+Invalid fails stop. Frames for a peer whose link is down are dropped:
+every (re)connect pushes the full state plus a sync request, which
+repairs whatever they carried. A connection whose unparsed input or
+unsent output grows past ``MAX_BUFFER`` is closed.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import functools
-import os
-import queue
+import errno
+import selectors
 import socket
 import sys
-import threading
 import time
-import traceback
 
 from . import wire
-from .core import Respond, SendToPeer, ServerCore
+from .core import SendToPeer, ServerCore
 
 _TICK_SECONDS = 0.05
 _RECONNECT_MIN = 0.1
 _RECONNECT_MAX = 2.0
+_RECV_BYTES = 1 << 16
+# Input or output a connection may hold before it is closed. A sync
+# response ships the log suffix the requester lacks, which for a blank
+# node is the whole log, so the cap must hold a full-log sync response
+# until a snapshot bounds the log (ROADMAP item 2).
+MAX_BUFFER = 64 << 20
 
 
 def parse_hostport(text: str):
@@ -51,156 +52,171 @@ def parse_peers(text: str):
     return peers
 
 
-class PeerLink:
-    """Owns the outbound connection to one peer.
+class _Conn:
+    """A non-blocking socket with its unparsed input and unsent output.
+    ``peer`` names the outbound link it carries, if any; ``up`` is False
+    while that link's connect is in flight."""
 
-    Writes normally happen in the caller's thread while the link is up,
-    so the common case costs no thread handoff; the sender thread exists
-    for reconnect/backoff and drains whatever the fast path could not
-    take. The two paths share a write lock, so frames never interleave;
-    they may reorder, which the protocol tolerates by construction
-    (deltas commute, and a sync response carries the full state plus
-    the log suffix past the requester's length, of which the receiver
-    keeps only what its own log lacks).
-    """
+    def __init__(self, sock: socket.socket, peer: str = None):
+        sock.setblocking(False)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.sock = sock
+        self.peer = peer
+        self.up = peer is None
+        self.inbuf = bytearray()
+        self.outbuf = bytearray()
 
-    def __init__(self, uid: str, addr, on_connected):
-        self.uid = uid
-        self.addr = addr
-        self.on_connected = on_connected
-        self.outbox: queue.Queue = queue.Queue()
-        self.thread = threading.Thread(target=self._run, daemon=True)
-        self._sock = None
-        self._write_lock = threading.Lock()
-
-    def start(self) -> None:
-        self.thread.start()
-
-    def send(self, envelope: dict, frame: bytes = None) -> None:
-        if self._write_lock.acquire(blocking=False):
-            try:
-                sock = self._sock
-                if sock is not None and self.outbox.empty():
-                    try:
-                        sock.sendall(frame if frame is not None else wire.encode_frame(envelope))
-                        return
-                    except OSError:
-                        pass
-            finally:
-                self._write_lock.release()
-        # Link down or busy; the sender thread takes over. A frame that
-        # failed mid-write corrupts the stream, but the failure also
-        # kills the connection and the reconnect sync repairs state.
-        self.outbox.put(envelope)
-
-    def _run(self) -> None:
-        backoff = _RECONNECT_MIN
-        while True:
-            try:
-                sock = socket.create_connection(self.addr, timeout=5)
-            except OSError:
-                time.sleep(backoff)
-                backoff = min(backoff * 2, _RECONNECT_MAX)
-                continue
-            backoff = _RECONNECT_MIN
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            sock.settimeout(5.0)
-            self._sock = sock
-            self.on_connected(self.uid)
-            try:
-                while True:
-                    envelope = self.outbox.get()
-                    with self._write_lock:
-                        sock.sendall(wire.encode_frame(envelope))
-            except OSError:
-                self._sock = None
-                try:
-                    sock.close()
-                except OSError:
-                    pass
+    @property
+    def closed(self) -> bool:
+        return self.sock.fileno() < 0
 
 
 class Server:
     def __init__(self, uid: str, listen, peers, election_timeout_ms: int = 500):
         self.core = ServerCore(uid, tuple(peers), election_timeout_ms / 1000.0)
         self.listen_addr = listen
-        self.state_lock = threading.Lock()
-        on_connected = functools.partial(self._handle, self.core.on_peer_connected)
-        self.links = {pid: PeerLink(pid, addr, on_connected) for pid, addr in peers.items()}
-        self._responders = {}
+        self.peer_addrs = dict(peers)
+        self.selector = selectors.DefaultSelector()
+        self.links = {}  # peer -> its link while connecting or up
+        self.retry_at = {pid: 0.0 for pid in peers}  # peer -> when to connect a down link
+        self.backoff = {pid: _RECONNECT_MIN for pid in peers}
+        self._responders = {}  # request id -> the client connection to answer
         self._request_seq = 0
-        self._resp_lock = threading.Lock()
 
     def serve_forever(self) -> None:
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind(self.listen_addr)
-        listener.listen(64)
-        threading.Thread(target=self._accept_loop, args=(listener,), daemon=True).start()
-        for link in self.links.values():
-            link.start()
+        listener = socket.create_server(self.listen_addr, backlog=64)  # sets SO_REUSEADDR
+        listener.setblocking(False)
+        self.selector.register(listener, selectors.EVENT_READ)
+        next_tick = time.monotonic() + _TICK_SECONDS
         while True:
-            time.sleep(_TICK_SECONDS)
-            self._handle(self.core.on_tick, time.monotonic())
-
-    def _handle(self, handler, *args) -> None:
-        """Run a core handler under the state lock, then carry out its
-        effects. If it raises, fail stop: exit nonzero, lock still held."""
-        with self.state_lock:
-            try:
-                effects = handler(*args)
-            except Exception:
-                traceback.print_exc()
-                os._exit(1)
-        self._execute(effects)
-
-    def _accept_loop(self, listener: socket.socket) -> None:
-        while True:
-            conn, _ = listener.accept()
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            threading.Thread(target=self._read_loop, args=(conn,), daemon=True).start()
-
-    def _read_loop(self, conn: socket.socket) -> None:
-        rfile = conn.makefile("rb")
-        wfile = conn.makefile("wb")
-        try:
-            for frame in wire.iter_frames(rfile):
-                if not isinstance(frame, dict):
+            now = time.monotonic()
+            for peer in [p for p, at in self.retry_at.items() if at <= now]:
+                self._connect(peer)
+            if now >= next_tick:
+                next_tick = now + _TICK_SECONDS
+                self._run(self.core.on_tick, now)
+            # wake for the next tick or the earliest reconnect, whichever is first
+            timeout = min([next_tick, *self.retry_at.values()]) - time.monotonic()
+            for key, mask in self.selector.select(max(timeout, 0.0)):
+                conn = key.data
+                if conn is None:
+                    self._accept(key.fileobj)
                     continue
-                if "kind" in frame:
-                    self._handle(self.core.on_envelope, frame)
-                elif "op" in frame:
-                    with self._resp_lock:
-                        self._request_seq += 1
-                        request_id = self._request_seq
-                        self._responders[request_id] = wfile
-                    self._handle(self.core.on_client_request, request_id, frame)
-        finally:
-            with contextlib.suppress(OSError):
-                rfile.close()
-                wfile.close()
-                conn.close()
+                if mask & selectors.EVENT_WRITE and not conn.closed:
+                    self._on_writable(conn)
+                if mask & selectors.EVENT_READ and not conn.closed:
+                    self._on_readable(conn)
 
-    def _execute(self, effects) -> None:
+    def _run(self, handler, *args) -> None:
+        """Run a core handler, then carry out its effects."""
         frames = {}
-        for effect in effects:
+        for effect in handler(*args):
             if isinstance(effect, SendToPeer):
-                link = self.links.get(effect.peer)
-                if link is not None:
+                conn = self.links.get(effect.peer)
+                if conn is not None and conn.up:
                     # serialize an envelope sent to several peers once
                     key = id(effect.envelope)
                     if key not in frames:
                         frames[key] = wire.encode_frame(effect.envelope)
-                    link.send(effect.envelope, frames[key])
-            elif isinstance(effect, Respond):
-                with self._resp_lock:
-                    fileobj = self._responders.pop(effect.request_id, None)
-                    if fileobj is None:
-                        continue
-                    # a client that hung up (closed file: ValueError) loses it
-                    with contextlib.suppress(OSError, ValueError):
-                        fileobj.write(wire.encode_frame(effect.response))
-                        fileobj.flush()
+                    self._send(conn, frames[key])
+            else:
+                conn = self._responders.pop(effect.request_id, None)
+                if conn is not None:
+                    self._send(conn, wire.encode_frame(effect.response))
+
+    def _accept(self, listener: socket.socket) -> None:
+        try:
+            conn = _Conn(listener.accept()[0])
+        except OSError:  # the client already left, or no descriptor is free
+            return
+        self.selector.register(conn.sock, selectors.EVENT_READ, conn)
+
+    def _connect(self, peer: str) -> None:
+        del self.retry_at[peer]
+        conn = self.links[peer] = _Conn(socket.socket(socket.AF_INET, socket.SOCK_STREAM), peer)
+        # the connect is done when the socket turns writable
+        self.selector.register(conn.sock, selectors.EVENT_WRITE, conn)
+        try:
+            err = conn.sock.connect_ex(self.peer_addrs[peer])
+        except OSError:  # e.g. a host name that does not resolve
+            err = errno.EHOSTUNREACH
+        if err not in (0, errno.EINPROGRESS):
+            self._close(conn)
+
+    def _close(self, conn: _Conn) -> None:
+        self.selector.unregister(conn.sock)
+        conn.sock.close()
+        peer = conn.peer
+        if peer is None:
+            return
+        del self.links[peer]
+        if conn.up:  # a link that was up reconnects at once
+            self.retry_at[peer] = 0.0
+        else:
+            self.retry_at[peer] = time.monotonic() + self.backoff[peer]
+            self.backoff[peer] = min(2 * self.backoff[peer], _RECONNECT_MAX)
+
+    def _on_writable(self, conn: _Conn) -> None:
+        if not conn.up:  # the connect finished
+            if conn.sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR):
+                self._close(conn)
+                return
+            conn.up = True
+            self.backoff[conn.peer] = _RECONNECT_MIN
+            self._run(self.core.on_peer_connected, conn.peer)
+        self._send(conn)
+
+    def _send(self, conn: _Conn, frame: bytes = b"") -> None:
+        """Queue ``frame`` and send what the socket takes now; watch for
+        it to turn writable while output is left."""
+        if conn.closed:  # a client that hung up loses its answer
+            return
+        conn.outbuf += frame
+        try:
+            del conn.outbuf[:conn.sock.send(conn.outbuf)]
+        except BlockingIOError:
+            pass
+        except OSError:
+            self._close(conn)
+            return
+        if len(conn.outbuf) > MAX_BUFFER:
+            self._close(conn)
+            return
+        events = selectors.EVENT_READ | (selectors.EVENT_WRITE if conn.outbuf else 0)
+        if self.selector.get_key(conn.sock).events != events:
+            self.selector.modify(conn.sock, events, conn)
+
+    def _on_readable(self, conn: _Conn) -> None:
+        try:
+            data = conn.sock.recv(_RECV_BYTES)
+        except BlockingIOError:
+            return
+        except OSError:
+            data = b""
+        if not data:
+            self._close(conn)
+            return
+        conn.inbuf += data
+        # only the new bytes can hold the last newline
+        end = conn.inbuf.rfind(b"\n", len(conn.inbuf) - len(data)) + 1
+        lines = conn.inbuf[:end].split(b"\n")
+        del conn.inbuf[:end]
+        if len(conn.inbuf) > MAX_BUFFER:
+            self._close(conn)
+            return
+        for frame in wire.iter_frames(lines):
+            if not isinstance(frame, dict):
+                continue
+            if "kind" in frame:
+                sender = frame.get("sender")
+                # a peer we hear from is listening: end its link's backoff
+                if type(sender) is str and sender in self.retry_at:
+                    self.retry_at[sender] = 0.0
+                self._run(self.core.on_envelope, frame)
+            elif "op" in frame:
+                self._request_seq += 1
+                self._responders[self._request_seq] = conn
+                self._run(self.core.on_client_request, self._request_seq, frame)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -214,9 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # reader/sender threads hand work to each other constantly; the
-    # default 5 ms GIL slice adds visible latency on small machines
-    sys.setswitchinterval(0.001)
     try:
         listen = parse_hostport(args.listen)
         peers = parse_peers(args.peers)

@@ -117,15 +117,20 @@ def error_response(message: str) -> dict:
 
 
 def encode_frame(frame: dict) -> bytes:
-    return json.dumps(frame, sort_keys=True, separators=(",", ":")).encode("utf-8") + b"\n"
+    # key order is free on the wire; ``codec.canon`` orders keys where a
+    # total order is needed
+    return json.dumps(frame, separators=(",", ":")).encode("utf-8") + b"\n"
 
 
 def iter_frames(fileobj):
-    """Yield parsed JSON frames from a socket file; stops at EOF.
+    """Yield the parsed JSON frames of ``fileobj``, any iterable of lines:
+    a socket or memory file, or a list of byte strings. Blank lines are
+    skipped.
 
-    A malformed line is surfaced as None so the caller can log and drop
-    it without tearing the connection down. A well-formed line may hold
-    any JSON value, not only an object.
+    A malformed line (not JSON, not UTF-8, or nested too deeply to
+    parse) is surfaced as None so the caller can drop it without tearing
+    the connection down. A well-formed line may hold any JSON value, not
+    only an object.
     """
     for line in fileobj:
         line = line.strip()
@@ -133,5 +138,5 @@ def iter_frames(fileobj):
             continue
         try:
             yield json.loads(line)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):
             yield None

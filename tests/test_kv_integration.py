@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import random
@@ -17,6 +18,7 @@ import prdt
 from prdt.kv import cluster, wire
 from prdt.kv.client import KvClient, main as client_main
 from prdt.kv.cluster import PORTS, free_ports, kv_cluster, wait_listening
+from prdt.kv.server import MAX_BUFFER
 from prdt.kv.wire import Write
 from prdt.lattice import Epoch, MergeMap
 from prdt.protocols.paxos import BallotNum, PaxosRound, PaxosState
@@ -69,6 +71,8 @@ def test_garbage_frames_do_not_take_the_server_down():
             # JSON that is not an object must not end the connection
             sock.sendall(b'5\n"op"\n["op"]\n')
             sock.sendall(b'{"kind": "SYNC_REQUEST", "sender": ["x"]}\n')
+            # neither UTF-8 nor shallow enough for the JSON parser
+            sock.sendall(b"\xff\n" + b"[" * 100_000 + b"\n")
             sock.sendall(b'{"op": "put", "key": "same", "value": "socket"}\n')
             assert json.loads(sock.makefile("rb").readline()) == {"status": "ok"}
         with KvClient(host, port) as client:
@@ -112,6 +116,64 @@ def test_a_node_whose_state_turns_invalid_fails_stop():
         proc.kill()
         proc.wait()
         proc.stderr.close()
+
+
+def test_a_line_longer_than_the_buffer_cap_closes_its_connection():
+    with kv_cluster(3) as addrs:
+        host, port = addrs["n1"]
+        with socket.create_connection((host, port), timeout=5) as sock:
+            chunk = b"x" * (1 << 20)
+            for _ in range(MAX_BUFFER // len(chunk)):
+                sock.sendall(chunk)
+            sock.sendall(b"x" * (MAX_BUFFER % len(chunk) + 1))
+            # no newline yet, and the socket stays open: the server must hang up
+            with contextlib.suppress(ConnectionResetError):
+                assert sock.recv(1) == b""
+        with KvClient(host, port) as client:
+            assert client.put("after", "cap") == {"status": "ok"}
+            assert client.get("after") == {"status": "ok", "value": "cap"}
+
+
+def test_a_peer_that_never_reads_cannot_stall_the_node():
+    """n3 is a listener that accepts with a small receive buffer and never
+    reads, so every frame for it piles up in n1. A flood of sync requests
+    in n3's name draws a full-log response each; n1 must keep answering
+    its client (within ``KvClient``'s 10 s timeout) all the same."""
+    p1, p2, p3 = free_ports(3)
+    source_root = str(Path(prdt.__file__).resolve().parent.parent)
+    held = []
+    with socket.socket() as listener:
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        listener.bind(("127.0.0.1", p3))
+        listener.listen(8)
+        listener.settimeout(5)
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-m", "prdt.kv.server", "--id", uid, "--listen", f"127.0.0.1:{port}",
+                 "--peers", ",".join(f"{peer}=127.0.0.1:{peer_port}" for peer, peer_port in peers)],
+                stdout=subprocess.DEVNULL, env=dict(os.environ, PYTHONPATH=source_root),
+            )
+            for uid, port, peers in (("n1", p1, (("n2", p2), ("n3", p3))),
+                                     ("n2", p2, (("n1", p1), ("n3", p3))))
+        ]
+        try:
+            for uid, proc, port in zip(("n1", "n2"), procs, (p1, p2)):
+                wait_listening(uid, proc, "127.0.0.1", port)
+            held.extend(listener.accept()[0] for _ in procs)
+            with KvClient("127.0.0.1", p1) as client:
+                for i in range(200):
+                    assert client.put(f"k{i}", "v") == {"status": "ok"}
+                request = wire.encode_frame(wire.sync_request_envelope("n3", 0))
+                with socket.create_connection(("127.0.0.1", p1), timeout=5) as flood:
+                    flood.sendall(request * 2000)
+                    for i in range(50):
+                        assert client.put(f"after{i}", "v") == {"status": "ok"}
+        finally:
+            for proc in procs:
+                proc.kill()
+                proc.wait()
+            for sock in held:
+                sock.close()
 
 
 def test_free_ports_are_distinct_unbound_and_below_the_ephemeral_range(monkeypatch):
