@@ -39,10 +39,10 @@ class KvClient:
         return json.loads(line)
 
     def put(self, key: str, value: str) -> dict:
-        return self.request({"op": "put", "key": key, "value": value})
+        return self.request(wire.request_frame(wire.Write(key, value)))
 
     def get(self, key: str) -> dict:
-        return self.request({"op": "get", "key": key})
+        return self.request(wire.request_frame(wire.Read(key)))
 
 
 def build_parser() -> argparse.ArgumentParser:

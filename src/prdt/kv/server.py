@@ -35,8 +35,8 @@ MAX_BUFFER = 64 << 20
 
 def parse_hostport(text: str):
     host, _, port = text.rpartition(":")
-    if not host or not port.isdigit():
-        raise ValueError(f"expected host:port, got {text!r}")
+    if not host or not port.isdigit() or int(port) > 65535:
+        raise ValueError(f"expected host:port with a port up to 65535, got {text!r}")
     return host, int(port)
 
 

@@ -21,11 +21,13 @@ its highest ballot, and states only grow, so confirming ballot b freezes
 the replica out of all rounds below b forever.
 
 The current round is the last entry of the key-sorted ``rounds``. A
-decision is the agreement join of the rounds' outcomes, and each round
-keeps its outcome per membership on itself. Rounds are shared objects:
-a merge keeps an unchanged round as the same object across replicas
-and successive states, so each round is tallied once, not once per
-state that holds it.
+decision is the agreement join of the rounds' outcomes. Each round keeps
+its leader and its outcome per membership on itself, from one read of
+its two votings. Rounds are shared objects: a merge keeps an unchanged
+round as the same object across replicas and successive states, so each
+round is tallied once, not once per state that holds it. Composed
+protocols drive and read an instance only through ``propose``,
+``upkeep`` and ``decision``; the ``Paxos`` adapter forwards to them.
 """
 
 from __future__ import annotations
@@ -47,7 +49,8 @@ from ..kernel import (
     agreement_join,
 )
 from ..lattice import MergeMap, ProductMixin
-from .voting import Membership, VotingState, decision as voting_decision, leading_value
+from .voting import Membership, VotingState, has_not_voted, leading_value
+from .voting import decision as voting_decision
 
 
 @total_ordering
@@ -68,25 +71,35 @@ class PaxosRound(ProductMixin):
     proposals: VotingState = VotingState()
 
     @cached_property
-    def _outcomes(self) -> dict:
+    def _reads(self) -> dict:
         return {}
 
-    def outcome(self, membership: Membership) -> Agreement:
-        """Invalid if either voting is; else the proposals' decision.
+    def _read(self, membership: Membership) -> tuple:
+        """``(leader, outcome)`` under ``membership``.
 
         Computed once per membership and kept on the round, like a
         voting's ``counts``, keyed by the member set that defines the
         membership.
         """
-        outcomes = self._outcomes
-        found = outcomes.get(membership.members)
+        reads = self._reads
+        found = reads.get(membership.members)
         if found is None:
-            if isinstance(voting_decision(self.leader_election, membership), Invalid):
-                found = INVALID
+            election = voting_decision(self.leader_election, membership)
+            if isinstance(election, Invalid):
+                found = (None, INVALID)
             else:
-                found = voting_decision(self.proposals, membership)
-            outcomes[membership.members] = found
+                leader = election.value if isinstance(election, Decided) else None
+                found = (leader, voting_decision(self.proposals, membership))
+            reads[membership.members] = found
         return found
+
+    def leader(self, membership: Membership) -> Optional[str]:
+        """The confirmed leader of this round, if its election decided."""
+        return self._read(membership)[0]
+
+    def outcome(self, membership: Membership) -> Agreement:
+        """Invalid if either voting is; else the proposals' decision."""
+        return self._read(membership)[1]
 
 
 @dataclass(frozen=True)
@@ -96,13 +109,14 @@ class PaxosState(ProductMixin):
     def current_ballot(self) -> Optional[BallotNum]:
         return self.rounds.max_key()
 
+    def next_ballot(self, uid: str) -> BallotNum:
+        """A ballot owned by ``uid``, above every round seen here."""
+        return BallotNum(uid, 1 + max((b.counter for b, _ in self.rounds.entries), default=0))
 
-def _single_round(ballot: BallotNum, round_: PaxosRound) -> PaxosState:
+
+def single_round(ballot: BallotNum, round_: PaxosRound) -> PaxosState:
+    """A state of one round: the delta every phase returns."""
     return PaxosState(MergeMap(((ballot, round_),)))
-
-
-def _has_voted(votes: VotingState, replica_id: str) -> bool:
-    return any(v.voter == replica_id for v in votes.votes)
 
 
 def _voted_value(votes: VotingState, replica_id: str):
@@ -114,13 +128,11 @@ def _voted_value(votes: VotingState, replica_id: str):
 
 def phase1a(state: PaxosState, ctx: ReplicaContext) -> PaxosState:
     """Open a new highest ballot owned by the local replica. Always enabled."""
-    top = 1 + max((b.counter for b, _ in state.rounds.entries), default=0)
-    ballot = BallotNum(uid=ctx.replica_id, counter=top)
     round_ = PaxosRound(
         leader_election=VotingState.of((ctx.replica_id, ctx.replica_id)),
         proposals=VotingState.bottom(),
     )
-    return _single_round(ballot, round_)
+    return single_round(state.next_ballot(ctx.replica_id), round_)
 
 
 def phase1b(state: PaxosState, ctx: ReplicaContext) -> PaxosState:
@@ -136,24 +148,30 @@ def phase1b(state: PaxosState, ctx: ReplicaContext) -> PaxosState:
         return PaxosState.bottom()
     ballot, round_ = state.rounds.entries[-1]
     candidate = leading_value(round_.leader_election)
-    if candidate is None or _has_voted(round_.leader_election, ctx.replica_id):
+    if candidate is None or not has_not_voted(round_.leader_election, ctx):
         return PaxosState.bottom()
-    delta = {ballot: PaxosRound(leader_election=VotingState.of((ctx.replica_id, candidate)))}
+    confirm = PaxosRound(leader_election=VotingState.of((ctx.replica_id, candidate)))
+    delta = single_round(ballot, confirm)
     for promised, prior in reversed(state.rounds.entries):
         accepted = _voted_value(prior.proposals, ctx.replica_id)
         if accepted is not None:
             carried = PaxosRound(proposals=VotingState.of((ctx.replica_id, accepted)))
-            existing = delta.get(promised)
-            delta[promised] = carried if existing is None else existing.merge(carried)
-            break
-    return PaxosState(MergeMap(tuple(delta.items())))
+            return delta.merge(single_round(promised, carried))
+    return delta
 
 
 def is_current_leader(state: PaxosState, membership: Membership, ctx: ReplicaContext) -> bool:
     if not state.rounds.entries:
         return False
-    round_ = state.rounds.entries[-1][1]
-    return voting_decision(round_.leader_election, membership) == Decided(ctx.replica_id)
+    return state.rounds.entries[-1][1].leader(membership) == ctx.replica_id
+
+
+def _vote_proposal(state: PaxosState, value, ctx: ReplicaContext) -> PaxosState:
+    """The local replica's one proposal vote, for ``value``, in the current round."""
+    ballot, round_ = state.rounds.entries[-1]
+    if value is None or not has_not_voted(round_.proposals, ctx):
+        return PaxosState.bottom()
+    return single_round(ballot, PaxosRound(proposals=VotingState.of((ctx.replica_id, value))))
 
 
 def phase2a(state: PaxosState, my_value, ctx: ReplicaContext, membership: Membership) -> PaxosState:
@@ -166,20 +184,13 @@ def phase2a(state: PaxosState, my_value, ctx: ReplicaContext, membership: Member
     """
     if not is_current_leader(state, membership, ctx):
         return PaxosState.bottom()
-    ballot, round_ = state.rounds.entries[-1]
-    if _has_voted(round_.proposals, ctx.replica_id):
-        return PaxosState.bottom()
     value = my_value
-    for prior_ballot, prior in reversed(state.rounds.entries):
-        if prior_ballot == ballot:
-            continue
+    for _, prior in reversed(state.rounds.entries[:-1]):
         inherited = leading_value(prior.proposals)
         if inherited is not None:
             value = inherited
             break
-    if value is None:
-        return PaxosState.bottom()
-    return _single_round(ballot, PaxosRound(proposals=VotingState.of((ctx.replica_id, value))))
+    return _vote_proposal(state, value, ctx)
 
 
 def phase2b(state: PaxosState, ctx: ReplicaContext) -> PaxosState:
@@ -190,13 +201,7 @@ def phase2b(state: PaxosState, ctx: ReplicaContext) -> PaxosState:
     """
     if not state.rounds.entries:
         return PaxosState.bottom()
-    ballot, round_ = state.rounds.entries[-1]
-    if _has_voted(round_.proposals, ctx.replica_id):
-        return PaxosState.bottom()
-    value = leading_value(round_.proposals)
-    if value is None:
-        return PaxosState.bottom()
-    return _single_round(ballot, PaxosRound(proposals=VotingState.of((ctx.replica_id, value))))
+    return _vote_proposal(state, leading_value(state.rounds.entries[-1][1].proposals), ctx)
 
 
 def decision(state: PaxosState, membership: Membership) -> Agreement:
@@ -237,6 +242,20 @@ def upkeep(state: PaxosState, ctx: ReplicaContext, membership: Membership, pendi
     return phase1b(state, ctx)
 
 
+def propose(state: PaxosState, value, ctx: ReplicaContext, membership: Membership) -> PaxosState:
+    """Start or drive a round for the given value.
+
+    A replica that already leads the current round proposes directly;
+    anyone else opens a fresh ballot. Once the state is decided (or
+    poisoned) there is nothing left to propose.
+    """
+    if not isinstance(decision(state, membership), Undecided):
+        return PaxosState.bottom()
+    if is_current_leader(state, membership, ctx):
+        return phase2a(state, value, ctx, membership)
+    return phase1a(state, ctx)
+
+
 class Paxos(Consensus):
     """Consensus adapter for single-decree runs."""
 
@@ -247,17 +266,7 @@ class Paxos(Consensus):
         return PaxosState.bottom()
 
     def propose(self, state: PaxosState, value, ctx: ReplicaContext) -> PaxosState:
-        """Start or drive a round for the given value.
-
-        A replica that already leads the current round proposes directly;
-        anyone else opens a fresh ballot. Once the state is decided (or
-        poisoned) there is nothing left to propose.
-        """
-        if not isinstance(decision(state, self.membership), Undecided):
-            return PaxosState.bottom()
-        if is_current_leader(state, self.membership, ctx):
-            return phase2a(state, value, ctx, self.membership)
-        return phase1a(state, ctx)
+        return propose(state, value, ctx, self.membership)
 
     def decision(self, state: PaxosState) -> Agreement:
         return decision(state, self.membership)

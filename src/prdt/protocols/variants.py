@@ -2,10 +2,13 @@
 
 Each variant is a lattice combinator wrapped around ``PaxosState`` plus
 one extra protocol action, ``nextDecision``, whose enabling query checks
-that the present instance has decided. A variant's ``propose`` and
-``upkeep`` deltas are the inner Paxos deltas carried through its
-combinator by ``lift``, which maps the empty inner delta to the
-variant's own bottom:
+that the present instance has decided. A variant drives and reads its
+instances only through ``paxos.propose``, ``paxos.upkeep`` and
+``paxos.decision``, and reads each instance's outcome once per call;
+``paxos.propose`` declines a decided or poisoned instance by itself.
+Its ``propose`` and ``upkeep`` deltas are the inner Paxos deltas carried
+through its combinator by ``lift``, which maps the empty inner delta to
+the variant's own bottom:
 
 * ``MultiPaxos``: an epoch counter around one instance; advancing
   discards the decided instance, and the new epoch's single round reuses
@@ -44,23 +47,17 @@ from ..kernel import (
     UNDECIDED,
 )
 from ..lattice import Epoch, GrowSet, MergeList, MergeMap, ProductMixin
-from .paxos import (
-    BallotNum,
-    Paxos,
-    PaxosRound,
-    PaxosState,
-    decision as paxos_decision,
-    upkeep as paxos_upkeep,
-)
-from .voting import Membership, decision as voting_decision
+from .paxos import PaxosRound, PaxosState, single_round
+from .paxos import decision as paxos_decision, propose as paxos_propose, upkeep as paxos_upkeep
+from .voting import Membership
 
 
 def leader_of(state: PaxosState, membership: Membership) -> Optional[str]:
     """The confirmed leader of the highest round that has one, if any."""
     for _, round_ in reversed(state.rounds.entries):
-        d = voting_decision(round_.leader_election, membership)
-        if isinstance(d, Decided):
-            return d.value
+        leader = round_.leader(membership)
+        if leader is not None:
+            return leader
     return None
 
 
@@ -105,7 +102,6 @@ class MultiPaxos(_CounterQualified):
 
     def __init__(self, membership: Membership):
         self.membership = membership
-        self._inner = Paxos(membership)
 
     def bottom(self) -> Epoch:
         return _EPOCH_BOTTOM
@@ -115,34 +111,23 @@ class MultiPaxos(_CounterQualified):
         return paxos_decision(state.value, self.membership)
 
     def propose(self, state: Epoch, value, ctx: ReplicaContext) -> Epoch:
-        d = self.inner_decision(state)
-        if isinstance(d, Invalid):
-            return self.bottom()
-        if isinstance(d, Decided):
+        if isinstance(self.inner_decision(state), Decided):
             advanced = self.next_decision(state, ctx)
-            started = self._inner.propose(advanced.value, value, ctx)
+            started = paxos_propose(advanced.value, value, ctx, self.membership)
             return advanced.merge(in_epoch(advanced.counter, started))
-        return in_epoch(state.counter, self._inner.propose(state.value, value, ctx))
+        return in_epoch(state.counter, paxos_propose(state.value, value, ctx, self.membership))
 
     def upkeep(self, state: Epoch, ctx: ReplicaContext, pending=None) -> Epoch:
         return in_epoch(state.counter, paxos_upkeep(state.value, ctx, self.membership, pending))
 
     def next_decision(self, state: Epoch, ctx: ReplicaContext) -> Epoch:
         inner = state.value
-        deciding = None
         for ballot, round_ in reversed(inner.rounds.entries):
-            if isinstance(voting_decision(round_.proposals, self.membership), Decided):
-                deciding = (ballot, round_)
-                break
-        if deciding is None:
-            return self.bottom()
-        ballot, round_ = deciding
-        top = 1 + max(b.counter for b, _ in inner.rounds.entries)
-        seed = BallotNum(uid=ballot.uid, counter=top)
-        seeded = PaxosState(
-            MergeMap(((seed, PaxosRound(leader_election=round_.leader_election)),))
-        )
-        return Epoch(state.counter + 1, seeded)
+            if isinstance(round_.outcome(self.membership), Decided):
+                seed = inner.next_ballot(ballot.uid)
+                seeded = single_round(seed, PaxosRound(leader_election=round_.leader_election))
+                return Epoch(state.counter + 1, seeded)
+        return self.bottom()
 
 
 @dataclass(frozen=True)
@@ -153,45 +138,45 @@ class GenOp(ProductMixin):
     predecessors: GrowSet = GrowSet()
 
 
+def _first_undecided(outcomes: list) -> Optional[int]:
+    return next((i for i, d in enumerate(outcomes) if d == UNDECIDED), None)
+
+
 class SequencePaxos(Consensus):
     """A replicated log: one instance per index, appended when all decided."""
 
     def __init__(self, membership: Membership):
         self.membership = membership
-        self._inner = Paxos(membership)
 
     def bottom(self) -> MergeList:
         return MergeList.bottom()
 
-    def index_decision(self, state: MergeList, index: int) -> Agreement:
-        return paxos_decision(state[index], self.membership)
+    def outcomes(self, state: MergeList) -> list:
+        """Each entry's outcome, in log order."""
+        return [paxos_decision(instance, self.membership) for instance in state]
 
     def first_undecided(self, state: MergeList) -> Optional[int]:
-        for i in range(len(state)):
-            if self.index_decision(state, i) == UNDECIDED:
-                return i
-        return None
+        return _first_undecided(self.outcomes(state))
 
     def decision(self, state: MergeList) -> Agreement:
         """Invalid as soon as any entry is; otherwise the head entry's outcome."""
-        for i in range(len(state)):
-            if isinstance(self.index_decision(state, i), Invalid):
-                return INVALID
-        if not len(state):
-            return UNDECIDED
-        return self.index_decision(state, 0)
+        outcomes = self.outcomes(state)
+        if any(isinstance(d, Invalid) for d in outcomes):
+            return INVALID
+        return outcomes[0] if outcomes else UNDECIDED
 
     def _at(self, index: int, delta: PaxosState) -> MergeList:
         return lift(delta, lambda d: MergeList((PaxosState.bottom(),) * index + (d,)), self.bottom())
 
     def propose(self, state: MergeList, value, ctx: ReplicaContext) -> MergeList:
-        index = self.first_undecided(state)
+        outcomes = self.outcomes(state)
+        index = _first_undecided(outcomes)
         if index is None:
-            if isinstance(self.decision(state), Invalid):
+            if any(isinstance(d, Invalid) for d in outcomes):
                 return self.bottom()
             index = len(state)
         instance = state[index] if index < len(state) else PaxosState.bottom()
-        return self._at(index, self._inner.propose(instance, value, ctx))
+        return self._at(index, paxos_propose(instance, value, ctx, self.membership))
 
     def upkeep(self, state: MergeList, ctx: ReplicaContext, pending=None) -> MergeList:
         index = self.first_undecided(state)
@@ -201,21 +186,21 @@ class SequencePaxos(Consensus):
 
     def next_decision(self, state: MergeList, ctx: ReplicaContext) -> MergeList:
         """Append a blank instance once every existing entry has decided."""
-        for i in range(len(state)):
-            if not isinstance(self.index_decision(state, i), Decided):
-                return self.bottom()
+        if not all(isinstance(d, Decided) for d in self.outcomes(state)):
+            return self.bottom()
         return MergeList((PaxosState.bottom(),) * len(state) + (PaxosState.bottom(),))
 
     def check_action_invariant(self, pre_state: MergeList, delta: MergeList, ctx: ReplicaContext) -> Optional[str]:
         """Prefix discipline at the acting replica: a delta may only touch
         index n when entries 0..n-1 of the actor's own state are decided."""
+        outcomes = self.outcomes(pre_state)
         for n in range(len(delta)):
             if delta[n] == PaxosState.bottom():
                 continue
             if n > len(pre_state):
                 return f"append at {n} skips {len(pre_state)}"
             for i in range(n):
-                if not isinstance(self.index_decision(pre_state, i), Decided):
+                if not isinstance(outcomes[i], Decided):
                     return f"vote at index {n} while index {i} undecided"
         return None
 
@@ -225,10 +210,13 @@ class GenPaxos(Consensus):
 
     def __init__(self, membership: Membership):
         self.membership = membership
-        self._inner = Paxos(membership)
 
     def bottom(self) -> MergeMap:
         return MergeMap.bottom()
+
+    def outcomes(self, state: MergeMap) -> dict:
+        """Each named decision's outcome, by uid."""
+        return {uid: paxos_decision(op.consensus, self.membership) for uid, op in state.entries}
 
     def op_decision(self, state: MergeMap, uid) -> Agreement:
         return paxos_decision(state.get(uid).consensus, self.membership)
@@ -241,9 +229,8 @@ class GenPaxos(Consensus):
         appear, breaking monotonicity. Per-name outcomes are read with
         ``op_decision``.
         """
-        for _, op in state.entries:
-            if isinstance(paxos_decision(op.consensus, self.membership), Invalid):
-                return INVALID
+        if any(isinstance(d, Invalid) for d in self.outcomes(state).values()):
+            return INVALID
         return UNDECIDED
 
     def fresh_uid(self, state: MergeMap, ctx: ReplicaContext) -> tuple:
@@ -268,36 +255,28 @@ class GenPaxos(Consensus):
     def _at(self, uid, delta: PaxosState) -> MergeMap:
         return lift(delta, lambda d: MergeMap(((uid, GenOp(d, GrowSet.bottom())),)), self.bottom())
 
-    def _undecided_uids(self, state: MergeMap):
-        return [
-            uid
-            for uid, op in state.entries
-            if paxos_decision(op.consensus, self.membership) == UNDECIDED
-        ]
-
     def propose(self, state: MergeMap, value, ctx: ReplicaContext) -> MergeMap:
         """Drive the least-named undecided decision, opening one if none is.
 
         A fresh decision names every currently decided operation as its
         predecessor, so random runs build dependency chains.
         """
-        undecided = self._undecided_uids(state)
+        outcomes = self.outcomes(state)
+        undecided = [uid for uid, d in outcomes.items() if d == UNDECIDED]
         if undecided:
             uid = min(undecided)
-            return self._at(uid, self._inner.propose(state.get(uid).consensus, value, ctx))
-        decided = frozenset(
-            uid for uid, op in state.entries
-            if isinstance(paxos_decision(op.consensus, self.membership), Decided)
-        )
+            return self._at(uid, paxos_propose(state.get(uid).consensus, value, ctx, self.membership))
+        decided = frozenset(uid for uid, d in outcomes.items() if isinstance(d, Decided))
         fresh = self.fresh_uid(state, ctx)
-        started = self._inner.propose(PaxosState.bottom(), value, ctx)
+        started = paxos_propose(PaxosState.bottom(), value, ctx, self.membership)
         return MergeMap(((fresh, GenOp(started, GrowSet(decided))),))
 
     def upkeep(self, state: MergeMap, ctx: ReplicaContext, pending=None) -> MergeMap:
         out = self.bottom()
-        for uid in self._undecided_uids(state):
-            delta = paxos_upkeep(state.get(uid).consensus, ctx, self.membership, pending)
-            out = out.merge(self._at(uid, delta))
+        for uid, d in self.outcomes(state).items():
+            if d == UNDECIDED:
+                delta = paxos_upkeep(state.get(uid).consensus, ctx, self.membership, pending)
+                out = out.merge(self._at(uid, delta))
         return out
 
 
@@ -333,12 +312,20 @@ class ReconfigurablePaxos(_CounterQualified):
         members = state.value.current_members.elements
         return Membership(members) if members else None
 
-    def inner_decision(self, state: Epoch) -> Agreement:
+    def _read(self, state: Epoch) -> tuple:
+        """``(m, d_value, d_members)``: the epoch's membership and, under
+        it, the outcomes of the value and of the next membership."""
         m = self.membership_of(state)
         if m is None:
-            return UNDECIDED
-        d_members = paxos_decision(state.value.next_members, m)
-        d_value = paxos_decision(state.value.inner_consensus, m)
+            return None, UNDECIDED, UNDECIDED
+        config = state.value
+        return m, paxos_decision(config.inner_consensus, m), paxos_decision(config.next_members, m)
+
+    def _next_epoch(self, state: Epoch, d_members: Decided) -> Epoch:
+        return Epoch(state.counter + 1, ConfigRound(GrowSet(d_members.value.members)))
+
+    def inner_decision(self, state: Epoch) -> Agreement:
+        _, d_value, d_members = self._read(state)
         if isinstance(d_members, Invalid) or isinstance(d_value, Invalid):
             return INVALID
         return d_value
@@ -353,31 +340,23 @@ class ReconfigurablePaxos(_CounterQualified):
         """Drive the epoch forward: decide the value, then the membership
         (keeping it unchanged when nobody asked for a change), then open
         the next epoch and propose there."""
-        m = self.membership_of(state)
+        m, d_value, d_members = self._read(state)
         if m is None:
             return self.bottom()
-        inner = Paxos(m)
-        d_value = paxos_decision(state.value.inner_consensus, m)
-        if isinstance(d_value, Invalid):
-            return self.bottom()
-        if d_value == UNDECIDED:
-            return self._wrap_value(state, inner.propose(state.value.inner_consensus, value, ctx))
-        d_members = paxos_decision(state.value.next_members, m)
-        if isinstance(d_members, Invalid):
-            return self.bottom()
-        if d_members == UNDECIDED:
-            unchanged = Membership(state.value.current_members.elements)
-            return self._wrap_members(state, inner.propose(state.value.next_members, unchanged, ctx))
-        advanced = self.next_decision(state, ctx)
-        m_next = Membership(advanced.value.current_members.elements)
-        delta = Paxos(m_next).propose(advanced.value.inner_consensus, value, ctx)
+        if not isinstance(d_value, Decided):
+            return self._wrap_value(state, paxos_propose(state.value.inner_consensus, value, ctx, m))
+        if not isinstance(d_members, Decided):
+            # the epoch's own membership, kept when nobody asked for a change
+            return self._wrap_members(state, paxos_propose(state.value.next_members, m, ctx, m))
+        advanced = self._next_epoch(state, d_members)
+        delta = paxos_propose(PaxosState.bottom(), value, ctx, d_members.value)
         return advanced.merge(self._wrap_value(advanced, delta))
 
     def propose_membership(self, state: Epoch, members: Membership, ctx: ReplicaContext) -> Epoch:
         m = self.membership_of(state)
         if m is None:
             return self.bottom()
-        return self._wrap_members(state, Paxos(m).propose(state.value.next_members, members, ctx))
+        return self._wrap_members(state, paxos_propose(state.value.next_members, members, ctx, m))
 
     def upkeep(self, state: Epoch, ctx: ReplicaContext, pending=None) -> Epoch:
         m = self.membership_of(state)
@@ -389,14 +368,10 @@ class ReconfigurablePaxos(_CounterQualified):
 
     def next_decision(self, state: Epoch, ctx: ReplicaContext) -> Epoch:
         """Advance once both the value and the next membership are decided."""
-        m = self.membership_of(state)
-        if m is None:
-            return self.bottom()
-        d_members = paxos_decision(state.value.next_members, m)
-        d_value = paxos_decision(state.value.inner_consensus, m)
+        _, d_value, d_members = self._read(state)
         if not (isinstance(d_members, Decided) and isinstance(d_value, Decided)):
             return self.bottom()
-        return Epoch(state.counter + 1, ConfigRound(GrowSet(d_members.value.members)))
+        return self._next_epoch(state, d_members)
 
 
 codec.record(GenOp, "genop", "c", "pred")

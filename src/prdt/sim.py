@@ -328,29 +328,36 @@ def run_fairness_epilogue(protocol: Consensus, execution: Execution, rng: random
     return max_rounds, all(isinstance(d, Decided) for d in execution.decisions)
 
 
+def lattice_law_problems(a, b, c, bottom=None) -> List[str]:
+    """The merge laws the triple breaks: commutativity, associativity,
+    idempotence, bottom-neutrality, and that a merge adding nothing
+    returns the receiver itself."""
+    problems: List[str] = []
+    ab = a.merge(b)
+    if ab != b.merge(a):
+        problems.append("merge not commutative")
+    if a.merge(b.merge(c)) != ab.merge(c):
+        problems.append("merge not associative")
+    if a.merge(a) != a:
+        problems.append("merge not idempotent")
+    if bottom is not None and bottom.merge(a) != a:
+        problems.append("bottom not neutral")
+    if not (a.merge(a) is a and ab.merge(a) is ab and ab.merge(b) is ab
+            and (bottom is None or a.merge(bottom) is a)):
+        problems.append("a merge that adds nothing is not the receiver")
+    return problems
+
+
 def check_lattice_laws(sample: Callable[[random.Random], Any], samples: int,
                        rng: random.Random, bottom=None) -> List[str]:
-    """Commutativity, associativity, idempotence, bottom-neutrality, and
-    that a merge adding nothing returns the receiver itself, over
-    randomized triples drawn from `sample`."""
-    problems: List[str] = []
+    """``lattice_law_problems`` over randomized triples drawn from
+    `sample`, up to the first triple that breaks a law."""
     for i in range(samples):
         a, b, c = sample(rng), sample(rng), sample(rng)
-        ab = a.merge(b)
-        if ab != b.merge(a):
-            problems.append(f"triple {i}: merge not commutative")
-        if a.merge(b.merge(c)) != ab.merge(c):
-            problems.append(f"triple {i}: merge not associative")
-        if a.merge(a) != a:
-            problems.append(f"triple {i}: merge not idempotent")
-        if bottom is not None and bottom.merge(a) != a:
-            problems.append(f"triple {i}: bottom not neutral")
-        if not (a.merge(a) is a and ab.merge(a) is ab and ab.merge(b) is ab
-                and (bottom is None or a.merge(bottom) is a)):
-            problems.append(f"triple {i}: a merge that adds nothing is not the receiver")
+        problems = lattice_law_problems(a, b, c, bottom)
         if problems:
-            break
-    return problems
+            return [f"triple {i}: {p}" for p in problems]
+    return []
 
 
 def check_monotone(decide: Callable[[Any], Any],

@@ -3,9 +3,11 @@ holes and sync repair, election restarts, and partition tolerance."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 from conftest import MemoryNet
+from prdt import codec
 from prdt.kv import wire
 from prdt.kv.core import Respond, SendToPeer, ServerCore
 from prdt.kv.wire import Write
@@ -251,3 +253,47 @@ def test_isolated_node_answers_after_the_partition_heals():
     net.tick(0.6)  # past the election deadline: the ballot restarts
     assert net.responses.pop(request_id) == {"status": "ok"}
     assert net.get("n2", "k") == {"status": "ok", "value": "v"}
+
+
+# sha256 over codec.canon of every core's final state and decided log,
+# the sorted JSON of every response of the script below, and the frame
+# count; any change to what the store proposes, decides or sends moves it
+STORE_DIGEST = "d51166bc7280ffc5e81ed86966858949e262abaa9044dfbb33335361f7f3ec78"
+
+
+def test_store_runs_are_pinned():
+    net = MemoryNet()
+    responses = []
+    for uid, key in (("n1", "a"), ("n2", "b"), ("n3", "c"), ("n1", "b")):
+        responses.append(net.put(uid, key, uid))
+        responses.append(net.get(uid, "a"))
+    net.blocked = {("n1", "n3"), ("n3", "n1")}
+    responses.append(net.put("n3", "d", "severed"))
+    responses.append(net.get("n1", "d"))
+    # n1 alone cannot decide; the tick after healing restarts its ballot
+    net.blocked = {("n1", "n2"), ("n2", "n1"), ("n1", "n3"), ("n3", "n1")}
+    net._pump("n1", net.cores["n1"].on_client_request(
+        ("n1", "stalled"), {"op": "put", "key": "e", "value": "stalled"},
+    ))
+    net.blocked.clear()
+    net.tick(0.6)
+    responses.append(net.responses.pop(("n1", "stalled")))
+    # n3 misses two epochs, then rejoins through connect_all
+    net.blocked = {("n3", "n1"), ("n1", "n3"), ("n3", "n2"), ("n2", "n3")}
+    responses.append(net.put("n2", "f", "missed"))
+    responses.append(net.put("n1", "g", "missed"))
+    net.blocked.clear()
+    net.connect_all()
+    for uid in net.ids:
+        responses.append(net.get(uid, "g"))
+    digest = hashlib.sha256()
+    for uid in net.ids:
+        core = net.cores[uid]
+        digest.update(codec.canon(core.state).encode() + b"\n")
+        for op in core.decided_ops:
+            digest.update(codec.canon(op).encode() + b"\n")
+    for response in responses:
+        digest.update(json.dumps(response, sort_keys=True).encode() + b"\n")
+    digest.update(str(net.frames_delivered).encode())
+    assert len({len(net.cores[uid].decided_ops) for uid in net.ids}) == 1
+    assert digest.hexdigest() == STORE_DIGEST

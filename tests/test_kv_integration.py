@@ -15,10 +15,11 @@ from pathlib import Path
 import pytest
 
 import prdt
+from prdt.bench import main as bench_main
 from prdt.kv import cluster, wire
 from prdt.kv.client import KvClient, main as client_main
 from prdt.kv.cluster import PORTS, free_ports, kv_cluster, wait_listening
-from prdt.kv.server import MAX_BUFFER
+from prdt.kv.server import MAX_BUFFER, main as server_main, parse_hostport, parse_peers
 from prdt.kv.wire import Write
 from prdt.lattice import Epoch, MergeMap
 from prdt.protocols.paxos import BallotNum, PaxosRound, PaxosState
@@ -58,6 +59,33 @@ def test_client_cli_exit_codes_and_output(capsys):
         assert client_main(["--server", server, "get", "absent"]) == 0
         assert capsys.readouterr().out.strip() == "(not found)"
     assert client_main(["--server", "not-an-address", "get", "k"]) == 2
+
+
+def test_ports_above_65535_are_rejected():
+    assert parse_hostport("127.0.0.1:65535") == ("127.0.0.1", 65535)
+    with pytest.raises(ValueError):
+        parse_hostport("127.0.0.1:70000")
+    with pytest.raises(ValueError):
+        parse_peers("n2=127.0.0.1:4464,n3=127.0.0.1:70000")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--id", "n1", "--listen", "127.0.0.1:70000"],
+    ["--id", "n1", "--listen", "127.0.0.1:1", "--peers", "n2=127.0.0.1:70000"],
+])
+def test_server_cli_rejects_a_port_above_65535(argv, capsys):
+    assert server_main(argv) == 2
+    assert "65535" in capsys.readouterr().err
+
+
+def test_client_and_bench_clis_reject_a_port_above_65535(tmp_path, capsys):
+    # getaddrinfo would wrap 70000 to 4464 and talk to whatever listens there
+    assert client_main(["--server", "127.0.0.1:70000", "get", "k"]) == 2
+    out = tmp_path / "out.csv"
+    argv = ["--server", "127.0.0.1:70000", "--workload", "write", "--ops", "5", "--out", str(out)]
+    assert bench_main(argv) == 2
+    assert capsys.readouterr().err.count("65535") == 2
+    assert not out.exists()
 
 
 def test_garbage_frames_do_not_take_the_server_down():
