@@ -21,7 +21,7 @@ from prdt.kv.cluster import kv_cluster
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--workload", choices=["read", "write", "mixed"], default="write")
+    parser.add_argument("--workload", choices=bench.KINDS, default="write")
     parser.add_argument("--ops", type=int, default=1000)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--out", default=None, help="CSV output path (default: temp file)")
@@ -33,8 +33,7 @@ def main():
         # one throwaway op so the cluster elects before timing starts
         with KvClient(*addrs["n1"], timeout=30.0) as client:
             client.put("warm", "up")
-            kind = {"read": bench.READ_ONLY, "write": bench.WRITE_ONLY, "mixed": bench.MIXED_50_50}[args.workload]
-            workload = bench.Workload(kind, args.ops, seed=args.seed)
+            workload = bench.Workload(args.workload, args.ops, seed=args.seed)
             records = bench.run_workload(client, workload)
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         bench.write_csv(records, fh)

@@ -19,18 +19,14 @@ import time
 from dataclasses import asdict, dataclass
 from typing import List, Sequence, Tuple
 
-READ_ONLY = "READ_ONLY"
-WRITE_ONLY = "WRITE_ONLY"
-MIXED_50_50 = "MIXED_50_50"
-
-_CLI_KINDS = {"read": READ_ONLY, "write": WRITE_ONLY, "mixed": MIXED_50_50}
+KINDS = ("read", "write", "mixed")
 
 CSV_HEADER = ("opIndex", "kind", "latency_us", "timestamp")
 
 
 @dataclass(frozen=True)
 class Workload:
-    kind: str
+    kind: str  # one of KINDS
     op_count: int
     key_space: int = 100
     seed: int = 0
@@ -62,7 +58,7 @@ class Summary:
 def generate_ops(workload: Workload) -> List[Tuple[str, str, str]]:
     """The deterministic (kind, key, value) sequence for a workload.
 
-    MIXED_50_50 is an even split: exact alternation write/read, so any
+    "mixed" is an even split: exact alternation write/read, so any
     prefix is as balanced as possible. Keys are drawn uniformly from the
     key space; values encode the op index for uniqueness.
     """
@@ -70,11 +66,11 @@ def generate_ops(workload: Workload) -> List[Tuple[str, str, str]]:
     ops: List[Tuple[str, str, str]] = []
     for index in range(workload.op_count):
         key = f"k{rng.randrange(workload.key_space)}"
-        if workload.kind == READ_ONLY:
+        if workload.kind == "read":
             ops.append(("get", key, ""))
-        elif workload.kind == WRITE_ONLY:
+        elif workload.kind == "write":
             ops.append(("put", key, f"v{index}"))
-        elif workload.kind == MIXED_50_50:
+        elif workload.kind == "mixed":
             if index % 2 == 0:
                 ops.append(("put", key, f"v{index}"))
             else:
@@ -156,7 +152,7 @@ def summarize(records: Sequence[BenchRecord], warmup_fraction: float = 0.1) -> S
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="prdt-bench", description="Sequential workload driver.")
     parser.add_argument("--server", required=True, metavar="HOST:PORT")
-    parser.add_argument("--workload", required=True, choices=sorted(_CLI_KINDS))
+    parser.add_argument("--workload", required=True, choices=KINDS)
     parser.add_argument("--ops", type=int, required=True, metavar="N")
     parser.add_argument("--seed", type=int, default=0, metavar="X")
     parser.add_argument("--out", required=True, metavar="FILE.csv")
@@ -172,6 +168,10 @@ def main(argv=None) -> int:
 
     try:
         host, port = parse_hostport(args.server)
+        if args.ops < 1 or args.key_space < 1:
+            raise ValueError("--ops and --key-space must be at least 1")
+        if not 0 <= args.warmup_fraction < 1:
+            raise ValueError("--warmup-fraction must be in [0, 1)")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -180,7 +180,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    workload = Workload(_CLI_KINDS[args.workload], args.ops, args.key_space, args.seed)
+    workload = Workload(args.workload, args.ops, args.key_space, args.seed)
     partial = False
     with client:
         try:

@@ -112,6 +112,16 @@ def _encode_set(obj):
     return {"t": "set", "v": encoded}
 
 
+def _decode_map(doc):
+    decoded = MergeMap(tuple((decode(k), decode(v)) for k, v in doc["v"]))
+    # a repeated key would break the strictly sorted keys MergeMap's
+    # merge walk relies on
+    keys = [k for k, _ in decoded.entries]
+    if not all(a < b for a, b in zip(keys, keys[1:])):
+        raise ValueError("map document repeats a key")
+    return decoded
+
+
 register(tuple, "tup",
          lambda obj: {"t": "tup", "v": [encode(x) for x in obj]},
          lambda doc: tuple(decode(x) for x in doc["v"]))
@@ -120,7 +130,7 @@ register(GrowSet, "set",
          lambda doc: GrowSet(frozenset(decode(x) for x in doc["v"])))
 register(MergeMap, "map",
          lambda obj: {"t": "map", "v": [[encode(k), encode(v)] for k, v in obj.entries]},
-         lambda doc: MergeMap(tuple((decode(k), decode(v)) for k, v in doc["v"])))
+         _decode_map)
 register(MergeList, "list",
          lambda obj: {"t": "list", "v": [encode(x) for x in obj.items]},
          lambda doc: MergeList(tuple(decode(x) for x in doc["v"])))

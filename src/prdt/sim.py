@@ -13,7 +13,9 @@ After every step three oracles are checked:
 Runs are deterministic: the per-run RNG is derived from (seed, run
 index), and every step, including any stall-recovery step the generator
 injects, is recorded in the trace, so replaying a trace is pure
-data-driven execution with no RNG involved.
+data-driven execution with no RNG involved. Steps are codec records
+(``{"t": "propose", ...}``, ``{"t": "merge", ...}``), and ``replay`` runs
+a step list after rejecting any malformed step.
 """
 
 from __future__ import annotations
@@ -57,7 +59,24 @@ class MergeAndUpkeep:
     dst: int
 
 
+codec.record(Propose, "propose", "slot", "value")
+codec.record(MergeAndUpkeep, "merge", "src", "dst")
+
 SimStep = Any
+
+
+def _check_steps(steps: Sequence[SimStep], replica_count: int) -> None:
+    """Raise ``ValueError`` unless every step is a ``Propose`` or a
+    ``MergeAndUpkeep`` whose slots are distinct ints in range."""
+    for step in steps:
+        if type(step) is Propose:
+            slots = (step.slot,)
+        elif type(step) is MergeAndUpkeep and step.src != step.dst:
+            slots = (step.src, step.dst)
+        else:
+            raise ValueError(f"malformed step {step!r}")
+        if not all(type(s) is int and 0 <= s < replica_count for s in slots):
+            raise ValueError(f"slot out of range in {step!r}")
 
 
 @dataclass
@@ -69,32 +88,26 @@ class RunTrace:
     violations: List[str] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        steps = []
-        for step in self.steps:
-            if isinstance(step, Propose):
-                steps.append({"kind": "propose", "slot": step.slot, "value": codec.encode(step.value)})
-            else:
-                steps.append({"kind": "merge", "src": step.src, "dst": step.dst})
         return {
             "seed": self.seed,
             "replica_ids": list(self.replica_ids),
-            "steps": steps,
+            "steps": [codec.encode(step) for step in self.steps],
             "decisions": [[codec.encode(d) for d in row] for row in self.decisions],
             "violations": list(self.violations),
         }
 
 
 def trace_from_json(doc: dict) -> RunTrace:
-    trace = RunTrace(seed=doc["seed"], replica_ids=tuple(doc["replica_ids"]))
-    for step in doc["steps"]:
-        if step["kind"] == "propose":
-            trace.steps.append(Propose(step["slot"], codec.decode(step["value"])))
-        elif step["kind"] == "merge":
-            trace.steps.append(MergeAndUpkeep(step["src"], step["dst"]))
-        else:
-            raise ValueError(f"malformed step kind {step.get('kind')!r}")
-    trace.decisions = [tuple(codec.decode(d) for d in row) for row in doc.get("decisions", [])]
-    trace.violations = list(doc.get("violations", []))
+    """Inverse of ``RunTrace.to_json``; ``ValueError`` on a malformed
+    document, including a step that ``replay`` would reject."""
+    try:
+        trace = RunTrace(doc["seed"], tuple(doc["replica_ids"]),
+                         [codec.decode(step) for step in doc["steps"]],
+                         [tuple(codec.decode(d) for d in row) for row in doc.get("decisions", [])],
+                         list(doc.get("violations", [])))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed trace: {exc!r}") from exc
+    _check_steps(trace.steps, len(trace.replica_ids))
     return trace
 
 
@@ -134,29 +147,23 @@ class Execution:
         self.action_invariant = getattr(protocol, "check_action_invariant", None)
         self.invariant_violations: List[str] = []
 
-    def _maybe_check(self, pre_state, delta, ctx) -> None:
-        if self.action_invariant is None:
-            return
-        problem = self.action_invariant(pre_state, delta, ctx)
-        if problem:
-            self.invariant_violations.append(problem)
-
     def apply(self, step: SimStep) -> bool:
         """Execute one step; returns whether any state changed."""
         protocol = self.protocol
         if isinstance(step, Propose):
             slot = step.slot
-            old = self.states[slot]
-            delta = protocol.propose(old, step.value, self.ctxs[slot])
-            self._maybe_check(old, delta, self.ctxs[slot])
-            new = protocol.merge(old, delta)
+            old = pre = self.states[slot]
+            delta = protocol.propose(pre, step.value, self.ctxs[slot])
         else:
             slot = step.dst
             old = self.states[slot]
-            merged = protocol.merge(old, self.states[step.src])
-            delta = protocol.upkeep(merged, self.ctxs[slot])
-            self._maybe_check(merged, delta, self.ctxs[slot])
-            new = protocol.merge(merged, delta)
+            pre = protocol.merge(old, self.states[step.src])
+            delta = protocol.upkeep(pre, self.ctxs[slot])
+        if self.action_invariant is not None:
+            problem = self.action_invariant(pre, delta, self.ctxs[slot])
+            if problem:
+                self.invariant_violations.append(problem)
+        new = protocol.merge(pre, delta)
         joined = protocol.merge(self.merged_all, delta)
         if joined is not self.merged_all:
             self.merged_all = joined
@@ -279,53 +286,18 @@ def run_random_test(protocol: Consensus, config: SimConfig, stop_on_failure: boo
                      last_trace=last_trace, decided_runs=decided_runs)
 
 
-def run_script(protocol: Consensus, steps: Sequence[SimStep],
-               replica_ids: Sequence[str]) -> List[List]:
-    """Deterministic scripted execution; returns the state array after each step."""
+def replay(protocol: Consensus, steps: Sequence[SimStep],
+           replica_ids: Sequence[str]) -> List[List]:
+    """Run a step list from the initial states, once every step passes
+    ``_check_steps``; returns the state array after each step. Replaying
+    a recorded trace reproduces the run's final states exactly."""
+    _check_steps(steps, len(replica_ids))
     execution = Execution(protocol, replica_ids)
     snapshots = []
     for step in steps:
         execution.apply(step)
         snapshots.append(list(execution.states))
     return snapshots
-
-
-def replay_trace(trace: RunTrace, protocol: Consensus) -> List:
-    """Re-run a recorded trace; final states are bit-identical to the run's."""
-    for step in trace.steps:
-        if isinstance(step, Propose):
-            if not (0 <= step.slot < len(trace.replica_ids)):
-                raise ValueError(f"slot {step.slot} out of range")
-        elif isinstance(step, MergeAndUpkeep):
-            if step.src == step.dst:
-                raise ValueError("merge step with src == dst")
-            if not (0 <= step.src < len(trace.replica_ids) and 0 <= step.dst < len(trace.replica_ids)):
-                raise ValueError("merge slot out of range")
-        else:
-            raise ValueError(f"malformed step {step!r}")
-    snapshots = run_script(protocol, trace.steps, trace.replica_ids)
-    return snapshots[-1] if snapshots else [protocol.initial_state() for _ in trace.replica_ids]
-
-
-def run_fairness_epilogue(protocol: Consensus, execution: Execution, rng: random.Random,
-                          value_pool: Sequence, max_rounds: Optional[int] = None):
-    """Drive a finished run toward decisions everywhere: rounds of all-pairs
-    merges plus a recovery propose whenever a round makes no progress and
-    nothing is decided yet. Returns (rounds used, all slots decided)."""
-    n = len(execution.states)
-    if max_rounds is None:
-        max_rounds = 10 * n
-    for round_index in range(max_rounds):
-        if all(isinstance(d, Decided) for d in execution.decisions):
-            return round_index, True
-        progressed = False
-        for src in range(n):
-            for dst in range(n):
-                if src != dst:
-                    progressed |= execution.apply(MergeAndUpkeep(src, dst))
-        if not progressed and not execution.any_decided():
-            execution.apply(Propose(rng.randrange(n), rng.choice(value_pool)))
-    return max_rounds, all(isinstance(d, Decided) for d in execution.decisions)
 
 
 def lattice_law_problems(a, b, c, bottom=None) -> List[str]:

@@ -249,7 +249,7 @@ def test_criterion_5_scripted_walkthrough():
         sim.MergeAndUpkeep(2, 0),     # 8: no new knowledge, no change
         sim.Propose(0, "val2"),       # 9: proposing on a decided state is a no-op
     ]
-    snapshots = sim.run_script(protocol, steps, ids)
+    snapshots = sim.replay(protocol, steps, ids)
     decisions = [[protocol.decision(s) for s in snap] for snap in snapshots]
 
     quiet = all(decisions[i] == [UNDECIDED] * 3 for i in range(4))
@@ -283,7 +283,7 @@ def test_criterion_6_partition_forwarding():
         sim.MergeAndUpkeep(1, 2),
         sim.MergeAndUpkeep(1, 0),
     ]
-    snapshots = sim.run_script(protocol, steps, ids)
+    snapshots = sim.replay(protocol, steps, ids)
     script_ok = [protocol.decision(s) for s in snapshots[-1]] == [Decided("val1")] * 3
 
     # same shape on the server cores: the n1-n3 link is severed both
@@ -306,7 +306,7 @@ def test_criterion_6_partition_forwarding():
 
 @pytest.mark.integration
 def test_criterion_7_kv_sequential_consistency():
-    workload = bench.Workload(bench.MIXED_50_50, op_count=1000, key_space=25, seed=7)
+    workload = bench.Workload("mixed", op_count=1000, key_space=25, seed=7)
     expected = {}
     violations = []
     with kv_cluster(3) as addrs:
@@ -338,7 +338,7 @@ def test_criterion_7_kv_sequential_consistency():
 
 @pytest.mark.integration
 def test_criterion_8_bench_throughput_and_roundtrip():
-    workload = bench.Workload(bench.WRITE_ONLY, op_count=1000, key_space=50, seed=11)
+    workload = bench.Workload("write", op_count=1000, key_space=50, seed=11)
     with kv_cluster(3) as addrs:
         host, port = addrs["n1"]
         with KvClient(host, port) as client:

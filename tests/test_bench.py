@@ -13,10 +13,7 @@ import pytest
 
 from prdt.bench import (
     BenchRecord,
-    MIXED_50_50,
     main,
-    READ_ONLY,
-    WRITE_ONLY,
     Workload,
     generate_ops,
     percentile_nearest_rank,
@@ -29,22 +26,22 @@ from prdt.kv.cluster import free_ports
 
 
 def test_workloads_are_deterministic():
-    w = Workload(MIXED_50_50, 50, key_space=10, seed=4)
+    w = Workload("mixed", 50, key_space=10, seed=4)
     assert generate_ops(w) == generate_ops(w)
-    other_seed = Workload(MIXED_50_50, 50, key_space=10, seed=5)
+    other_seed = Workload("mixed", 50, key_space=10, seed=5)
     assert generate_ops(w) != generate_ops(other_seed)
 
 
 def test_mixed_workload_alternates_exactly():
-    ops = generate_ops(Workload(MIXED_50_50, 20, seed=1))
+    ops = generate_ops(Workload("mixed", 20, seed=1))
     assert [k for k, _, _ in ops] == ["put", "get"] * 10
     assert all(v == f"v{i}" for i, (k, _, v) in enumerate(ops) if k == "put")
 
 
 def test_pure_workloads_and_key_space():
-    reads = generate_ops(Workload(READ_ONLY, 30, key_space=5, seed=2))
+    reads = generate_ops(Workload("read", 30, key_space=5, seed=2))
     assert all(k == "get" and v == "" for k, _, v in reads)
-    writes = generate_ops(Workload(WRITE_ONLY, 30, key_space=5, seed=2))
+    writes = generate_ops(Workload("write", 30, key_space=5, seed=2))
     assert all(k == "put" for k, _, _ in writes)
     keys = {key for _, key, _ in writes}
     assert keys <= {f"k{i}" for i in range(5)}
@@ -140,7 +137,7 @@ class _ScriptedClient:
 
 
 def test_run_workload_counts_and_orders_records():
-    records = run_workload(_ScriptedClient(), Workload(MIXED_50_50, 40, seed=3))
+    records = run_workload(_ScriptedClient(), Workload("mixed", 40, seed=3))
     assert [r.op_index for r in records] == list(range(40))
     assert [r.kind for r in records] == ["put", "get"] * 20
     assert all(r.latency_us >= 0 for r in records)
@@ -151,7 +148,7 @@ def test_run_workload_counts_and_orders_records():
 def test_run_workload_abort_attaches_partial_records():
     client = _ScriptedClient(fail_at=7)
     with pytest.raises(RuntimeError) as info:
-        run_workload(client, Workload(WRITE_ONLY, 40, seed=3))
+        run_workload(client, Workload("write", 40, seed=3))
     partial = info.value.partial_records
     assert [r.op_index for r in partial] == list(range(7))
 
@@ -165,6 +162,21 @@ def test_cli_fails_cleanly_without_a_server(tmp_path, capsys, server, code):
     server = server or f"127.0.0.1:{free_ports(1)[0]}"
     argv = ["--server", server, "--workload", "write", "--ops", "5", "--out", str(out)]
     assert main(argv) == code
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--ops", "0"),
+    ("--warmup-fraction", "1"),
+    ("--key-space", "0"),
+])
+def test_cli_rejects_out_of_range_numbers_before_connecting(tmp_path, capsys, flag, value):
+    # nothing listens on the port, so exit 2 (not 1) shows no connect was tried
+    out = tmp_path / "out.csv"
+    argv = ["--server", f"127.0.0.1:{free_ports(1)[0]}", "--workload", "write",
+            "--ops", "5", "--out", str(out), flag, value]
+    assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
 

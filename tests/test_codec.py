@@ -96,6 +96,13 @@ def test_unknown_tag_rejected():
         codec.decode({"no": "tag"})
 
 
+def test_map_with_a_repeated_key_rejected():
+    ballot = '{"t":"ballot","uid":"n2","n":1}'
+    with pytest.raises(ValueError):
+        codec.loads('{"t":"map","v":[[%s,1],[%s,2]]}' % (ballot, ballot))
+    assert codec.loads('{"t":"map","v":[[2,"b"],[1,"a"]]}') == MergeMap({1: "a", 2: "b"})
+
+
 def test_record_rejects_a_key_count_that_does_not_match_the_fields():
     @dataclass(frozen=True)
     class Pair:

@@ -26,6 +26,14 @@ STRING_ROUND_KEY = {
         ["x", {"t": "round", "le": EMPTY_VOTING, "prop": EMPTY_VOTING}],
     ]}}},
 }
+BALLOT_N2_1 = {"t": "ballot", "uid": "n2", "n": 1}
+EMPTY_ROUND = {"t": "round", "le": EMPTY_VOTING, "prop": EMPTY_VOTING}
+REPEATED_ROUND_KEY = {
+    "kind": "DELTA", "sender": "n2",
+    "payload": {"t": "epoch", "n": 0, "v": {"t": "paxos", "rounds": {"t": "map", "v": [
+        [BALLOT_N2_1, EMPTY_ROUND], [BALLOT_N2_1, EMPTY_ROUND],
+    ]}}},
+}
 NON_OP_SYNC_LOG = {
     "kind": "SYNC_RESPONSE", "sender": "n2",
     "payload": {"state": BOTTOM_STATE, "from": 0, "log": [{"t": "set", "v": []}]},
@@ -129,13 +137,15 @@ def test_malformed_frames_are_dropped():
     assert core.on_envelope({"kind": "SYNC_REQUEST", "sender": "nX"}) == []
     assert core.on_envelope({"kind": "SYNC_REQUEST", "sender": ["x"]}) == []
     # decodable states of the wrong shape are dropped before any merge
-    for frame in (WRONG_INNER_STATE, STRING_ROUND_KEY, NON_OP_SYNC_LOG, *HOSTILE_SYNC_FRAMES):
+    for frame in (WRONG_INNER_STATE, STRING_ROUND_KEY, REPEATED_ROUND_KEY, NON_OP_SYNC_LOG,
+                  *HOSTILE_SYNC_FRAMES):
         assert core.on_envelope(frame) == []
         assert core.state == core.protocol.bottom()
         assert core.decided_ops == []
-    net = MemoryNet()
-    assert net.cores["n1"].on_envelope(STRING_ROUND_KEY) == []
-    assert net.put("n1", "k", "v") == {"status": "ok"}
+    for frame in (STRING_ROUND_KEY, REPEATED_ROUND_KEY):
+        net = MemoryNet()
+        assert net.cores["n1"].on_envelope(frame) == []
+        assert net.put("n1", "k", "v") == {"status": "ok"}
 
 
 def test_epoch_hole_triggers_a_sync_request(memory_net):

@@ -7,7 +7,11 @@ import dataclasses
 import functools
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -29,11 +33,9 @@ from prdt.sim import (
     check_monotone,
     check_oracles,
     read_trace,
-    replay_trace,
-    run_fairness_epilogue,
+    replay,
     run_one,
     run_random_test,
-    run_script,
     run_seed,
     trace_from_json,
     write_trace,
@@ -104,8 +106,21 @@ def test_finished_steps_stutter():
     assert execution.apply(Propose(1, "val1")) is False
 
 
-def test_run_script_snapshots_every_step():
-    snapshots = run_script(paxos3(), WALKTHROUGH, IDS3)
+def test_walkthrough_script_runs_from_a_checkout():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "walkthrough_paxos.py"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    result = subprocess.run([sys.executable, str(script)], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    blocks = result.stdout.split("Step ")[1:]
+    assert [b.split(":")[0] for b in blocks] == [str(i) for i in range(1, 10)]
+    unchanged = [i for i, b in enumerate(blocks, 1) if "[state unchanged]" in b.splitlines()[0]]
+    assert unchanged == [8, 9]
+    assert blocks[6].count("decision=Decided('val1')") == 3
+
+
+def test_replay_snapshots_every_step():
+    snapshots = replay(paxos3(), WALKTHROUGH, IDS3)
     assert len(snapshots) == len(WALKTHROUGH)
     assert all(len(row) == 3 for row in snapshots)
     decisions = [paxos3().decision(s) for s in snapshots[-1]]
@@ -115,27 +130,38 @@ def test_run_script_snapshots_every_step():
 def test_replay_reproduces_final_states():
     cfg = SimConfig(replica_count=3, steps_per_run=35, rng_seed=13)
     result = run_one(paxos3(), cfg, 2)
-    replayed = replay_trace(result.trace, paxos3())
-    assert replayed == result.final_states
+    replayed = replay(paxos3(), result.trace.steps, result.trace.replica_ids)
+    assert replayed[-1] == result.final_states
 
 
-def test_replay_of_an_empty_trace_is_initial():
-    trace = RunTrace(seed=0, replica_ids=IDS3)
-    protocol = paxos3()
-    assert replay_trace(trace, protocol) == [protocol.initial_state()] * 3
+MALFORMED_STEPS = [
+    Propose(5, "v"),             # slot out of range
+    Propose(-1, "v"),
+    Propose(True, "v"),          # a bool is not a slot
+    Propose("1", "v"),           # nor is a string
+    MergeAndUpkeep(1, 1),        # self merge
+    MergeAndUpkeep(0, 9),
+    MergeAndUpkeep(0.5, 1),
+    MergeAndUpkeep(0, True),
+    ("propose", 0, "v"),         # not a step
+]
 
 
-def test_replay_rejects_malformed_traces():
-    protocol = paxos3()
-    bad_slot = RunTrace(seed=0, replica_ids=IDS3, steps=[Propose(5, "v")])
-    with pytest.raises(ValueError):
-        replay_trace(bad_slot, protocol)
-    self_merge = RunTrace(seed=0, replica_ids=IDS3, steps=[MergeAndUpkeep(1, 1)])
-    with pytest.raises(ValueError):
-        replay_trace(self_merge, protocol)
-    out_of_range = RunTrace(seed=0, replica_ids=IDS3, steps=[MergeAndUpkeep(0, 9)])
-    with pytest.raises(ValueError):
-        replay_trace(out_of_range, protocol)
+def test_replay_rejects_malformed_traces(tmp_path):
+    path = tmp_path / "trace.json"
+    for step in MALFORMED_STEPS:
+        steps = [Propose(0, "v"), step]
+        with pytest.raises(ValueError):
+            replay(paxos3(), steps, IDS3)
+        try:
+            doc = RunTrace(seed=0, replica_ids=IDS3, steps=steps).to_json()
+        except TypeError:
+            continue  # a float has no codec form; MALFORMED_DOCS has its document
+        with pytest.raises(ValueError):
+            trace_from_json(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError):
+            read_trace(str(path))
 
 
 def test_trace_json_roundtrip(tmp_path):
@@ -149,10 +175,35 @@ def test_trace_json_roundtrip(tmp_path):
     assert read_trace(str(path)).to_json() == doc
 
 
-def test_trace_json_rejects_unknown_step_kind():
-    doc = {"seed": 0, "replica_ids": ["r1"], "steps": [{"kind": "teleport"}]}
-    with pytest.raises(ValueError):
-        trace_from_json(doc)
+MALFORMED_DOCS = [
+    {"t": "teleport", "slot": 0},                  # unknown tag
+    {"kind": "propose", "slot": 0, "value": "v"},  # the old format: no tag
+    {"t": "merge", "src": 0},                      # missing key
+    {"t": "propose", "value": "v"},
+    {"t": "merge", "src": 0.5, "dst": 1},          # a float slot
+    {"t": "set", "v": ["a"]},                      # a codec value, not a step
+    {"t": "tup", "v": 5},
+    3,
+]
+
+
+def test_trace_json_rejects_unknown_step_kind(tmp_path):
+    path = tmp_path / "trace.json"
+    for step_doc in MALFORMED_DOCS:
+        doc = {"seed": 0, "replica_ids": list(IDS3), "steps": [step_doc]}
+        with pytest.raises(ValueError):
+            trace_from_json(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError):
+            read_trace(str(path))
+    # steps are codec records
+    good = {"seed": 0, "replica_ids": list(IDS3), "steps": [
+        {"t": "propose", "slot": 2, "value": "v"}, {"t": "merge", "src": 0, "dst": 1}]}
+    assert trace_from_json(good).steps == [Propose(2, "v"), MergeAndUpkeep(0, 1)]
+    assert trace_from_json(good).to_json()["steps"] == good["steps"]
+    for key in good:
+        with pytest.raises(ValueError):
+            trace_from_json({k: v for k, v in good.items() if k != key})
 
 
 def test_oracles_flag_invalid_and_disagreement():
@@ -175,19 +226,6 @@ def test_oracles_flag_invalid_and_disagreement():
     assert "slots 0 and 1 decided different values: 'cat' vs 'dog'" in found
     assert "decision of the join of all slots is Invalid" in found
     assert oracles([VotingState.bottom()] * 3) == []
-
-
-def test_fairness_epilogue_reaches_decisions_everywhere():
-    protocol = paxos3()
-    execution = Execution(protocol, IDS3)
-    execution.apply(Propose(0, "val1"))
-    rounds, done = run_fairness_epilogue(
-        protocol, execution, random.Random(1), ("val1", "val2")
-    )
-    assert done
-    assert execution.decisions == [Decided("val1")] * 3
-    assert execution.oracle_violations() == []
-    assert rounds <= 30
 
 
 def test_reachable_pool_spans_run_depths():
