@@ -28,9 +28,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.replicas < 1:
-        print("error: --replicas must be at least 1", file=sys.stderr)
-        return 2
+    for flag in ("replicas", "runs", "steps"):
+        if getattr(args, flag) < 1:
+            print(f"error: --{flag} must be at least 1", file=sys.stderr)
+            return 2
     config = SimConfig(
         replica_count=args.replicas,
         steps_per_run=args.steps,

@@ -36,12 +36,17 @@ def encode(obj):
 
 
 def decode(doc):
-    """Inverse of encode."""
+    """Inverse of encode. Any JSON value that is not an encoding (a
+    missing key, a wrong type, map keys that do not compare, nesting
+    past the recursion limit) raises ``ValueError`` and nothing else."""
     if isinstance(doc, dict):
-        codec = _CODECS_BY_TAG.get(doc.get("t"))
-        if codec is not None:
+        try:
+            codec = _CODECS_BY_TAG.get(doc.get("t"))
+            if codec is None:
+                raise ValueError(f"unknown tag {doc.get('t')!r}")
             return codec.dec(doc)
-        raise ValueError(f"unknown tag {doc.get('t')!r}")
+        except (KeyError, TypeError, RecursionError) as exc:
+            raise ValueError(f"malformed document: {exc!r}") from None
     if doc is None or isinstance(doc, (str, bool, int)):
         return doc
     raise ValueError(f"cannot decode {type(doc).__name__}")

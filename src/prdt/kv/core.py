@@ -25,6 +25,12 @@ operation is re-proposed every epoch until the log accepts it; a decided
 epoch answers the client whose operation it holds. Reads are answered
 from the map the log applies to. An election timer restarts the ballot
 when the head operation makes no progress.
+
+The core knows no protocol internals and no payload format: beside the
+consensus contract it calls the protocol's ``check_state`` on every peer
+state before a merge and its ``restart`` on an election timeout, and
+``wire`` parses every frame. Both raise only ``ValueError``, so a
+malformed frame is dropped and never stops a node.
 """
 
 from __future__ import annotations
@@ -33,52 +39,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, List, Optional
 
-from .. import codec
 from ..kernel import Decided, Invalid, ReplicaContext
-from ..protocols.paxos import BallotNum, PaxosRound, PaxosState, phase1a
-from ..protocols.variants import MultiPaxos, in_epoch
-from ..protocols.voting import Membership, Vote, VotingState
-from ..lattice import Epoch, GrowSet, MergeMap
+from ..protocols import Membership, MultiPaxos
 from . import wire
-from .wire import Read, Write
-
-
-def _is_op(value) -> bool:
-    if isinstance(value, Write):
-        return type(value.key) is str and type(value.value) is str
-    return isinstance(value, Read) and type(value.key) is str
-
-
-def _log_index(value) -> int:
-    """A log position named by a peer: a non-negative int, not a bool."""
-    if type(value) is not int or value < 0:
-        raise ValueError(f"malformed log index {value!r}")
-    return value
-
-
-def _check_votes(votes, is_value) -> None:
-    if not (isinstance(votes, VotingState) and isinstance(votes.votes, GrowSet)):
-        raise ValueError(f"expected a voting, got {votes!r}")
-    for vote in votes.votes:
-        if not (isinstance(vote, Vote) and type(vote.voter) is str and is_value(vote.value)):
-            raise ValueError(f"malformed vote {vote!r}")
-
-
-def _check_state(state) -> None:
-    """Raise ``ValueError`` unless ``state`` has the shape of a store
-    state: an epoch over Paxos rounds whose elections vote replica ids
-    and whose proposals vote operations. A peer state of any other shape
-    would decode, merge and then break the next protocol step."""
-    if not (isinstance(state, Epoch) and type(state.counter) is int
-            and isinstance(state.value, PaxosState)
-            and isinstance(state.value.rounds, MergeMap)):
-        raise ValueError(f"expected a store state, got {state!r}")
-    for ballot, round_ in state.value.rounds.entries:
-        if not (isinstance(ballot, BallotNum) and type(ballot.uid) is str
-                and type(ballot.counter) is int and isinstance(round_, PaxosRound)):
-            raise ValueError(f"malformed round {ballot!r}: {round_!r}")
-        _check_votes(round_.leader_election, lambda v: type(v) is str)
-        _check_votes(round_.proposals, _is_op)
+from .wire import Write
 
 
 @dataclass(frozen=True)
@@ -98,8 +62,11 @@ class ServerCore:
         self.uid = uid
         self.peers = tuple(peer_ids)
         self.ctx = ReplicaContext(uid)
-        self.membership = Membership(frozenset((uid,) + self.peers))
-        self.protocol = MultiPaxos(self.membership)
+        self.protocol = MultiPaxos(Membership(frozenset((uid,) + self.peers)))
+        # taken once: a Consensus delegator set as ``protocol`` later
+        # forwards only the contract's methods
+        self._check_state = self.protocol.check_state
+        self._restart = self.protocol.restart
         self.state = self.protocol.bottom()
         self.decided_ops: List = []
         # the map the decided log applies to; reads are answered from it
@@ -121,7 +88,7 @@ class ServerCore:
         effects: List = []
         try:
             op = wire.parse_request(frame)
-        except (ValueError, KeyError, TypeError):
+        except ValueError:
             effects.append(Respond(request_id, wire.error_response("bad request")))
             return effects
         self.pending.append((request_id, op))
@@ -131,38 +98,26 @@ class ServerCore:
     def on_envelope(self, frame: dict) -> List:
         effects: List = []
         try:
-            envelope = wire.parse_envelope(frame)
-            sender = envelope["sender"]
+            sender, kind, body = wire.parse_envelope(frame, len(self.decided_ops))
             if sender not in self.peers:
                 raise ValueError(f"envelope from a non-peer: {sender!r}")
-            kind = envelope["kind"]
             if kind == wire.DELTA:
-                delta = codec.decode(envelope["payload"])
-                _check_state(delta)
-                self._absorb(delta, sender, effects)
+                self._check_state(body, wire.is_op)
+                self._absorb(body, sender, effects)
             elif kind == wire.SYNC_REQUEST:
                 # ship only the log suffix the requester lacks
-                start = min(_log_index(envelope["payload"]["have"]), len(self.decided_ops))
+                start = min(body, len(self.decided_ops))
                 effects.append(SendToPeer(
                     sender,
                     wire.sync_response_envelope(self.uid, self.state, self.decided_ops, start),
                 ))
-            elif kind == wire.SYNC_RESPONSE:
-                payload = envelope["payload"]
-                start = _log_index(payload["from"])
-                if start > len(self.decided_ops):
-                    raise ValueError(f"sync suffix from {start} skips past our log")
-                state = codec.decode(payload["state"])
-                _check_state(state)
-                # suffix entries below our own log's length are decided here already
-                missing = [codec.decode(doc)
-                           for doc in payload["log"][len(self.decided_ops) - start:]]
-                if not all(map(_is_op, missing)):
-                    raise ValueError("sync log holds a non-operation")
+            else:
+                state, missing = body
+                self._check_state(state, wire.is_op)
                 for op in missing:
                     self._append_decided(op, effects)
                 self._absorb(state, sender, effects)
-        except (ValueError, KeyError, TypeError):
+        except ValueError:
             # Malformed frames are dropped; the connection stays up and
             # any lost knowledge is recovered by a later sync.
             pass
@@ -180,8 +135,7 @@ class ServerCore:
         self.now = now
         effects: List = []
         if self.pending and self.election_deadline is not None and now >= self.election_deadline:
-            restart = in_epoch(self.state.counter, phase1a(self.state.value, self.ctx))
-            self._apply_local(restart)
+            self._apply_local(self._restart(self.state, self.ctx))
             self._reset_election()
             self._progress(effects)
         return self._flush(effects)

@@ -48,6 +48,8 @@ def parse_peers(text: str):
         uid, _, addr = item.partition("=")
         if not uid or not addr:
             raise ValueError(f"expected uid=host:port, got {item!r}")
+        if uid in peers:
+            raise ValueError(f"peer id {uid!r} is named twice")
         peers[uid] = parse_hostport(addr)
     return peers
 

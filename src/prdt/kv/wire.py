@@ -11,6 +11,11 @@ answered by ``{status, value?}`` responses. Duplicated or reordered peer
 frames are harmless by construction: merging is idempotent and
 commutative, and a receiver adopts only the suffix entries past its own
 log.
+
+This module owns the payload formats: ``parse_envelope`` decodes every
+peer payload and ``parse_request`` reads every client request, and both
+raise ``ValueError`` and nothing else on any JSON value. States come
+back decoded but not shape-checked; the protocol checks its own state.
 """
 
 from __future__ import annotations
@@ -41,6 +46,13 @@ class Read:
     operation lands at."""
 
     key: str
+
+
+def is_op(value) -> bool:
+    """True for a well-formed operation: string keys and values."""
+    if isinstance(value, Write):
+        return type(value.key) is str and type(value.value) is str
+    return isinstance(value, Read) and type(value.key) is str
 
 
 codec.register(
@@ -79,10 +91,39 @@ def sync_response_envelope(sender: str, state, decided_ops, start: int) -> dict:
     }
 
 
-def parse_envelope(frame: dict) -> dict:
+def _log_index(value) -> int:
+    """A log position named by a peer: a non-negative int, not a bool."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"malformed log index {value!r}")
+    return value
+
+
+def parse_envelope(frame, log_length: int) -> tuple:
+    """``(sender, kind, body)`` of a peer frame, its payload decoded.
+
+    The body of a DELTA is its state; of a SYNC_REQUEST, the requester's
+    log length ``have``; of a SYNC_RESPONSE, ``(state, ops)`` where ``ops``
+    are the suffix entries past ``log_length``, the receiver's own log.
+    """
     if not isinstance(frame, dict) or frame.get("kind") not in KINDS or "sender" not in frame:
         raise ValueError(f"malformed envelope: {frame!r}")
-    return frame
+    sender, kind, payload = frame["sender"], frame["kind"], frame.get("payload")
+    if kind == DELTA:
+        return sender, kind, codec.decode(payload)
+    if not isinstance(payload, dict):
+        raise ValueError(f"malformed {kind} payload")
+    if kind == SYNC_REQUEST:
+        return sender, kind, _log_index(payload.get("have"))
+    start, log = _log_index(payload.get("from")), payload.get("log")
+    if start > log_length:
+        raise ValueError(f"sync suffix from {start} skips past our log")
+    if not isinstance(log, list):
+        raise ValueError("sync log is not a list")
+    # suffix entries below the receiver's log length are decided there already
+    ops = [codec.decode(doc) for doc in log[log_length - start:]]
+    if not all(map(is_op, ops)):
+        raise ValueError("sync log holds a non-operation")
+    return sender, kind, (codec.decode(payload.get("state")), ops)
 
 
 def request_frame(op) -> dict:
@@ -91,14 +132,13 @@ def request_frame(op) -> dict:
     return {"op": "get", "key": op.key}
 
 
-def parse_request(frame: dict):
-    if not isinstance(frame, dict):
-        raise ValueError(f"malformed request: {frame!r}")
-    kind = frame.get("op")
-    if kind == "put":
-        return Write(str(frame["key"]), str(frame["value"]))
-    if kind == "get":
-        return Read(str(frame["key"]))
+def parse_request(frame):
+    if isinstance(frame, dict) and "key" in frame:
+        kind = frame.get("op")
+        if kind == "put" and "value" in frame:
+            return Write(str(frame["key"]), str(frame["value"]))
+        if kind == "get":
+            return Read(str(frame["key"]))
     raise ValueError(f"malformed request: {frame!r}")
 
 

@@ -28,6 +28,7 @@ round as the same object across replicas and successive states, so each
 round is tallied once, not once per state that holds it. Composed
 protocols drive and read an instance only through ``propose``,
 ``upkeep`` and ``decision``; the ``Paxos`` adapter forwards to them.
+``check_state`` checks the shape of a state decoded from a peer.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from ..kernel import (
     agreement_join,
 )
 from ..lattice import MergeMap, ProductMixin
-from .voting import Membership, VotingState, has_not_voted, leading_value
+from .voting import Membership, VotingState, check_votes, has_not_voted, leading_value
 from .voting import decision as voting_decision
 
 
@@ -62,6 +63,8 @@ class BallotNum:
     counter: int
 
     def __lt__(self, other: "BallotNum") -> bool:
+        if type(other) is not BallotNum:
+            return NotImplemented
         return (self.counter, self.uid) < (other.counter, other.uid)
 
 
@@ -117,6 +120,20 @@ class PaxosState(ProductMixin):
 def single_round(ballot: BallotNum, round_: PaxosRound) -> PaxosState:
     """A state of one round: the delta every phase returns."""
     return PaxosState(MergeMap(((ballot, round_),)))
+
+
+def check_state(state, is_value) -> None:
+    """Raise ``ValueError`` unless ``state`` is a Paxos state keyed by
+    ballots whose elections vote replica ids and whose proposals vote
+    values that pass ``is_value``."""
+    if not (isinstance(state, PaxosState) and isinstance(state.rounds, MergeMap)):
+        raise ValueError(f"expected a Paxos state, got {state!r}")
+    for ballot, round_ in state.rounds.entries:
+        if not (isinstance(ballot, BallotNum) and type(ballot.uid) is str
+                and type(ballot.counter) is int and isinstance(round_, PaxosRound)):
+            raise ValueError(f"malformed round {ballot!r}: {round_!r}")
+        check_votes(round_.leader_election, lambda v: type(v) is str)
+        check_votes(round_.proposals, is_value)
 
 
 def _voted_value(votes: VotingState, replica_id: str):

@@ -47,7 +47,8 @@ from ..kernel import (
     UNDECIDED,
 )
 from ..lattice import Epoch, GrowSet, MergeList, MergeMap, ProductMixin
-from .paxos import PaxosRound, PaxosState, single_round
+from .paxos import PaxosRound, PaxosState, phase1a, single_round
+from .paxos import check_state as check_paxos_state
 from .paxos import decision as paxos_decision, propose as paxos_propose, upkeep as paxos_upkeep
 from .voting import Membership
 
@@ -119,6 +120,20 @@ class MultiPaxos(_CounterQualified):
 
     def upkeep(self, state: Epoch, ctx: ReplicaContext, pending=None) -> Epoch:
         return in_epoch(state.counter, paxos_upkeep(state.value, ctx, self.membership, pending))
+
+    def restart(self, state: Epoch, ctx: ReplicaContext) -> Epoch:
+        """The election-timeout action: a fresh ballot, owned by the local
+        replica, in the current epoch."""
+        return in_epoch(state.counter, phase1a(state.value, ctx))
+
+    def check_state(self, state, is_value) -> None:
+        """Raise ``ValueError`` unless ``state`` has the shape of a
+        MultiPaxos state whose proposals vote values that pass
+        ``is_value``. A peer state of any other shape would decode, merge
+        and then break the next protocol step."""
+        if not (isinstance(state, Epoch) and type(state.counter) is int):
+            raise ValueError(f"expected an epoch, got {state!r}")
+        check_paxos_state(state.value, is_value)
 
     def next_decision(self, state: Epoch, ctx: ReplicaContext) -> Epoch:
         inner = state.value

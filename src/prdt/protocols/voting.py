@@ -72,6 +72,16 @@ class Membership:
         return len(self.members)
 
 
+def check_votes(votes, is_value) -> None:
+    """Raise ``ValueError`` unless ``votes`` is a voting whose voters are
+    replica ids and whose values pass ``is_value``."""
+    if not (isinstance(votes, VotingState) and isinstance(votes.votes, GrowSet)):
+        raise ValueError(f"expected a voting, got {votes!r}")
+    for vote in votes.votes:
+        if not (isinstance(vote, Vote) and type(vote.voter) is str and is_value(vote.value)):
+            raise ValueError(f"malformed vote {vote!r}")
+
+
 def has_not_voted(state: VotingState, ctx: ReplicaContext) -> bool:
     """True while no vote by the local replica exists; freezes at false."""
     return all(v.voter != ctx.replica_id for v in state.votes)
@@ -159,13 +169,20 @@ class ParallelVotingState(ProductMixin):
     second: VotingState = VotingState()
 
 
+def _decode_members(doc) -> Membership:
+    members = codec.decode(doc["v"])
+    if not isinstance(members, GrowSet):
+        raise ValueError(f"expected a member set, got {members!r}")
+    return Membership(members.elements)
+
+
 codec.record(Vote, "vote", "p", "v")
 codec.record(VotingState, "voting", "v")
 codec.register(
     Membership,
     "members",
     lambda x: {"t": "members", "v": codec.encode(GrowSet(x.members))},
-    lambda d: Membership(codec.decode(d["v"]).elements),
+    _decode_members,
 )
 codec.record(ParallelVotingState, "parvoting", "a", "b")
 

@@ -106,6 +106,26 @@ def within_epoch(pairs):
     return [(s, d) for s, d in pairs if d.counter <= s.counter]
 
 
+# -- hostile payloads ---------------------------------------------------
+
+# Decodable-looking JSON that once escaped ``codec.decode`` as an error
+# other than ValueError: a map whose keys do not compare, a member set
+# that is a string, and nesting past the recursion limit.
+_VOTING = {"t": "voting", "v": {"t": "set", "v": []}}
+_ROUND = {"t": "round", "le": _VOTING, "prop": _VOTING}
+_BALLOT = {"t": "ballot", "uid": "n2", "n": 1}
+MEMBERS_OF_A_STRING = {"t": "members", "v": "n1"}
+UNORDERED_ROUND_KEYS = {"t": "epoch", "n": 0, "v": {"t": "paxos", "rounds": {
+    "t": "map", "v": [[_BALLOT, _ROUND], ["x", _ROUND]]}}}
+MEMBERS_VOTED_IN_A_ROUND = {"t": "epoch", "n": 0, "v": {"t": "paxos", "rounds": {
+    "t": "map", "v": [[_BALLOT, {"t": "round", "le": _VOTING, "prop": {"t": "voting", "v": {
+        "t": "set", "v": [{"t": "vote", "p": "n2", "v": MEMBERS_OF_A_STRING}]}}}]]}}}
+NESTED_TUPS = "n1"
+for _ in range(400):
+    NESTED_TUPS = {"t": "tup", "v": [NESTED_TUPS]}
+HOSTILE_PAYLOADS = (UNORDERED_ROUND_KEYS, MEMBERS_VOTED_IN_A_ROUND, NESTED_TUPS)
+
+
 # -- in-process KV cluster ----------------------------------------------
 
 class MemoryNet:

@@ -6,7 +6,9 @@ import json
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import example, given, strategies as st
 
+from conftest import NESTED_TUPS, MEMBERS_OF_A_STRING, UNORDERED_ROUND_KEYS
 from prdt import codec
 from prdt.kernel import Decided, INVALID, UNDECIDED
 from prdt.kv.wire import Read, Write
@@ -153,3 +155,35 @@ def test_decided_value_round_trips_structurally():
     d = Decided(("k", "v"))
     assert codec.loads(codec.canon(d)) == d
     assert codec.loads(codec.canon(d)).value == ("k", "v")
+
+
+TAGS = sorted(codec._CODECS_BY_TAG)
+KEYS = ["v", "n", "k", "uid", "p", "le", "prop", "rounds", "c", "pred", "cur", "next", "val",
+        "a", "b"]
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2, 2), st.sampled_from(["n1", "x"]),
+                    st.floats(allow_nan=False))
+
+
+def _tagged(children):
+    """A dict of field keys with a tag that is usually, not always, registered."""
+    tags = st.one_of(st.sampled_from(TAGS), children)
+    fields = st.dictionaries(st.sampled_from(KEYS), children, max_size=4)
+    return st.builds(lambda tag, doc: {**doc, "t": tag}, tags, fields)
+
+
+TAGGED_JSON = st.recursive(
+    SCALARS, lambda children: st.one_of(st.lists(children, max_size=3), _tagged(children)),
+    max_leaves=24,
+)
+
+
+# drawn as JSON text: hypothesis cannot print a 400-deep example object
+@given(TAGGED_JSON.map(json.dumps))
+@example(json.dumps(UNORDERED_ROUND_KEYS))
+@example(json.dumps(MEMBERS_OF_A_STRING))
+@example(json.dumps(NESTED_TUPS))
+def test_decode_raises_only_value_error(text):
+    try:
+        codec.loads(text)
+    except ValueError:
+        pass

@@ -6,8 +6,9 @@ from __future__ import annotations
 import hashlib
 import json
 
-from conftest import MemoryNet
+from conftest import HOSTILE_PAYLOADS, MemoryNet
 from prdt import codec
+from prdt.kernel import Consensus
 from prdt.kv import wire
 from prdt.kv.core import Respond, SendToPeer, ServerCore
 from prdt.kv.wire import Write
@@ -136,9 +137,11 @@ def test_malformed_frames_are_dropped():
     assert core.on_envelope("not even a dict") == []
     assert core.on_envelope({"kind": "SYNC_REQUEST", "sender": "nX"}) == []
     assert core.on_envelope({"kind": "SYNC_REQUEST", "sender": ["x"]}) == []
-    # decodable states of the wrong shape are dropped before any merge
+    # decodable states of the wrong shape are dropped before any merge,
+    # and so is a payload whose decoding fails with any error
+    hostile = [{"kind": "DELTA", "sender": "n2", "payload": p} for p in HOSTILE_PAYLOADS]
     for frame in (WRONG_INNER_STATE, STRING_ROUND_KEY, REPEATED_ROUND_KEY, NON_OP_SYNC_LOG,
-                  *HOSTILE_SYNC_FRAMES):
+                  *HOSTILE_SYNC_FRAMES, *hostile):
         assert core.on_envelope(frame) == []
         assert core.state == core.protocol.bottom()
         assert core.decided_ops == []
@@ -238,6 +241,35 @@ def test_election_timer_reopens_the_ballot():
     assert any(isinstance(e, SendToPeer) for e in effects)
     core.on_tick(1.2)
     assert core.state.value.current_ballot() == BallotNum("n1", 3)
+
+
+class ContractOnly(Consensus):
+    """Forwards only the nine contract methods a benchmark's timing
+    wrapper forwards, as that wrapper does when set as a core's protocol."""
+
+    def __init__(self, inner: Consensus):
+        self.inner = inner
+
+
+for _name in ("bottom", "initial_state", "decision_instance", "merge", "decision",
+              "inner_decision", "next_decision", "upkeep", "propose"):
+    setattr(ContractOnly, _name,
+            lambda self, *args, _name=_name, **kwargs: getattr(self.inner, _name)(*args, **kwargs))
+
+
+def test_the_hooks_survive_a_delegating_protocol():
+    core = ServerCore("n1", ("n2", "n3"), election_timeout=0.5)
+    core.protocol = ContractOnly(core.protocol)
+    assert not hasattr(core.protocol, "restart")
+    core.on_client_request(("n1", 0), {"op": "put", "key": "k", "value": "v"})
+    assert core.state.value.current_ballot() == BallotNum("n1", 1)
+    core.on_tick(0.6)
+    assert core.state.value.current_ballot() == BallotNum("n1", 2)
+    fresh = ServerCore("n1", ("n2", "n3"))
+    fresh.protocol = ContractOnly(fresh.protocol)
+    assert not hasattr(fresh.protocol, "check_state")
+    assert fresh.on_envelope(WRONG_INNER_STATE) == []
+    assert fresh.state == fresh.protocol.bottom()
 
 
 def test_quorum_survives_one_severed_link():

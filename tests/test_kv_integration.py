@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import prdt
+from conftest import UNORDERED_ROUND_KEYS
 from prdt.bench import main as bench_main
 from prdt.kv import cluster, wire
 from prdt.kv.client import KvClient, main as client_main
@@ -67,6 +68,9 @@ def test_ports_above_65535_are_rejected():
         parse_hostport("127.0.0.1:70000")
     with pytest.raises(ValueError):
         parse_peers("n2=127.0.0.1:4464,n3=127.0.0.1:70000")
+    # a repeated id would leave the node a smaller membership than its peers
+    with pytest.raises(ValueError):
+        parse_peers("n2=127.0.0.1:7002,n2=127.0.0.1:7003")
 
 
 @pytest.mark.parametrize("argv", [
@@ -160,6 +164,19 @@ def test_a_line_longer_than_the_buffer_cap_closes_its_connection():
         with KvClient(host, port) as client:
             assert client.put("after", "cap") == {"status": "ok"}
             assert client.get("after") == {"status": "ok", "value": "cap"}
+
+
+def test_a_payload_that_does_not_decode_leaves_the_node_up():
+    with kv_cluster(3) as addrs:
+        host, port = addrs["n1"]
+        with socket.create_connection((host, port), timeout=5) as sock:
+            # map keys that do not compare: a ballot and a string
+            sock.sendall(wire.encode_frame({"sender": "n2", "kind": wire.DELTA,
+                                            "payload": UNORDERED_ROUND_KEYS}))
+            sock.sendall(wire.encode_frame({"op": "put", "key": "k", "value": "after"}))
+            assert json.loads(sock.makefile("rb").readline()) == {"status": "ok"}
+        with KvClient(host, port) as client:
+            assert client.put("still", "up") == {"status": "ok"}
 
 
 def test_a_peer_that_never_reads_cannot_stall_the_node():

@@ -316,7 +316,10 @@ def test_sim_cli_runs_and_writes_a_trace(tmp_path, capsys):
     assert code == 0
     assert "failures=0" in capsys.readouterr().out
     assert read_trace(str(out)).replica_ids == ("r1", "r2", "r3")
-    assert main(["--protocol", "voting", "--replicas", "0"]) == 2
+    # a run that checks nothing must not pass
+    for flag, value in (("--replicas", "0"), ("--runs", "0"), ("--steps", "-4")):
+        assert main(["--protocol", "paxos", flag, value]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag} ")
 
 
 def test_random_report_counts_decided_runs():
