@@ -12,13 +12,24 @@ entry. Every event that can change the state ends in one progress loop
 act on the epoch's decision until it stops changing. Decided appends
 the value to the local log *before* the advance discards the epoch; a
 replica whose epoch counter is ahead of its log length has a hole and
-waits for the sync exchange to fill it. A sync request carries the
-requester's log length; the response carries the state plus only the
-log entries past that length, and the receiver adopts those past its
-own length, which may have grown while the response was in flight.
+waits for the sync exchange to fill it; until then its upkeep leaves the
+head operation out, since a hidden epoch may have decided it. A sync
+request carries the requester's log length; the response carries the
+state plus only the log entries past that length, and the receiver
+adopts those past its own length, which may have grown while the
+response was in flight. A core keeps at most one unanswered sync
+request per peer: a hole found while one is out asks nothing more, and
+the peer is asked again only after its response arrives, after it
+reconnects, or after a tick.
 Undecided proposes the head operation once per (epoch, request).
 Invalid raises: the state can never be valid again, so the caller must
 fail stop.
+
+The deltas an event produces are joined per epoch and kept in epoch
+order, and leave as one DELTA envelope per peer. The receiver checks
+every part, then absorbs them in order, progressing after each, so a
+follower's acceptance in epoch c and its first act in epoch c+1 share a
+frame without the advance hiding the decision of c.
 
 One client operation is serviced at a time, in arrival order. The head
 operation is re-proposed every epoch until the log accepts it; a decided
@@ -77,10 +88,13 @@ class ServerCore:
         self.election_deadline: Optional[float] = None
         self._last_proposal_key = None
         self._upkept = None  # the state upkeep last ran on
-        # Join of the deltas generated while handling the current event;
-        # flushed as one envelope per peer when the handler returns. The
-        # join of deltas is itself a delta, so coalescing is free.
-        self._outgoing = self.protocol.bottom()
+        # The deltas generated while handling the current event, joined
+        # per epoch in epoch order; flushed as one envelope per peer when
+        # the handler returns. Joining epochs would let the advance
+        # discard the evidence that decided the earlier one.
+        self._outgoing: List = []
+        # peers with a sync request out and not yet answered
+        self._asked: set = set()
 
     # -- events ------------------------------------------------------
 
@@ -102,8 +116,10 @@ class ServerCore:
             if sender not in self.peers:
                 raise ValueError(f"envelope from a non-peer: {sender!r}")
             if kind == wire.DELTA:
-                self._check_state(body, wire.is_op)
-                self._absorb(body, sender, effects)
+                for part in body:
+                    self._check_state(part, wire.is_op)
+                for part in body:
+                    self._absorb(part, sender, effects)
             elif kind == wire.SYNC_REQUEST:
                 # ship only the log suffix the requester lacks
                 start = min(body, len(self.decided_ops))
@@ -114,6 +130,8 @@ class ServerCore:
             else:
                 state, missing = body
                 self._check_state(state, wire.is_op)
+                # answered: a hole this answer leaves open asks again
+                self._asked.discard(sender)
                 for op in missing:
                     self._append_decided(op, effects)
                 self._absorb(state, sender, effects)
@@ -125,15 +143,19 @@ class ServerCore:
 
     def on_peer_connected(self, peer: str) -> List:
         # Full state is a valid delta, so pushing it plus requesting the
-        # peer's own repairs both directions after a reconnect.
-        return [
-            self._sync_request(peer),
-            SendToPeer(peer, wire.delta_envelope(self.uid, self.state)),
-        ]
+        # peer's own repairs both directions after a reconnect. A request
+        # sent before the reconnect may have died with the connection.
+        effects: List = []
+        self._asked.discard(peer)
+        self._request_sync(peer, effects)
+        effects.append(SendToPeer(peer, wire.delta_envelope(self.uid, (self.state,))))
+        return effects
 
     def on_tick(self, now: float) -> List:
         self.now = now
         effects: List = []
+        # a request lost on the way is asked again after a tick
+        self._asked.clear()
         if self.pending and self.election_deadline is not None and now >= self.election_deadline:
             self._apply_local(self._restart(self.state, self.ctx))
             self._reset_election()
@@ -142,9 +164,12 @@ class ServerCore:
 
     # -- internals ---------------------------------------------------
 
-    def _sync_request(self, peer: str) -> SendToPeer:
-        """Ask ``peer`` for its state and the log past our own length."""
-        return SendToPeer(peer, wire.sync_request_envelope(self.uid, len(self.decided_ops)))
+    def _request_sync(self, peer: str, effects: List) -> None:
+        """Ask ``peer`` for its state and the log past our own length,
+        unless a request to it is still unanswered."""
+        if peer not in self._asked:
+            self._asked.add(peer)
+            effects.append(SendToPeer(peer, wire.sync_request_envelope(self.uid, len(self.decided_ops))))
 
     def _reset_election(self) -> None:
         self.election_deadline = self.now + self.election_timeout
@@ -158,15 +183,18 @@ class ServerCore:
         if merged == self.state:
             return False
         self.state = merged
-        self._outgoing = self.protocol.merge(self._outgoing, delta)
+        out = self._outgoing
+        if out and out[-1].counter == delta.counter:
+            out[-1] = self.protocol.merge(out[-1], delta)
+        else:
+            out.append(delta)
         return True
 
     def _flush(self, effects: List) -> List:
-        """Emit the event's accumulated delta, one envelope per peer."""
-        out = self._outgoing
-        if out != self.protocol.bottom():
-            self._outgoing = self.protocol.bottom()
-            envelope = wire.delta_envelope(self.uid, out)
+        """Emit the event's deltas as one envelope per peer."""
+        if self._outgoing:
+            envelope = wire.delta_envelope(self.uid, self._outgoing)
+            self._outgoing = []
             for peer in self.peers:
                 effects.append(SendToPeer(peer, envelope))
         return effects
@@ -178,7 +206,7 @@ class ServerCore:
             self.state = merged
         if self.state.counter > len(self.decided_ops):
             # The merge jumped past an epoch we never saw decided.
-            effects.append(self._sync_request(sender))
+            self._request_sync(sender, effects)
         self._progress(effects)
 
     def _progress(self, effects: List) -> None:
@@ -188,8 +216,12 @@ class ServerCore:
             # Upkeep is a function of the state and the head operation,
             # and the head matters only to a leader with no proposal yet,
             # which the propose below covers: rerun on the same state
-            # (a client request, a duplicate delta) it adds nothing.
-            head = self.pending[0][1] if self.pending else None
+            # (a client request, a duplicate delta) it adds nothing. A
+            # replica with a hole leaves the head out: an epoch the hole
+            # hides may have decided it already, and a leader proposing
+            # it again would apply it twice.
+            hole = self.state.counter > len(self.decided_ops)
+            head = self.pending[0][1] if self.pending and not hole else None
             self._apply_local(self.protocol.upkeep(self.state, self.ctx, pending=head))
             self._upkept = self.state
         while True:
@@ -203,10 +235,6 @@ class ServerCore:
                     return
                 if self.state.counter == len(self.decided_ops):
                     self._append_decided(d.value, effects)
-                # The advance discards this epoch when joined, so any
-                # not-yet-sent evidence that decided it must ship first
-                # as its own envelope or peers would see a hole.
-                self._flush(effects)
                 step = self.protocol.next_decision(self.state, self.ctx)
             else:
                 # Propose the head operation once per (epoch, request).
@@ -224,6 +252,7 @@ class ServerCore:
 
     def _append_decided(self, op, effects: List) -> None:
         self.decided_ops.append(op)
+        self._upkept = None  # a longer log may close a hole: upkeep again
         if isinstance(op, Write):
             self.values[op.key] = op.value
             response = wire.ok_response()

@@ -2,15 +2,16 @@
 
 Peer frames are envelopes ``{sender, kind, payload}`` where kind is
 DELTA, SYNC_REQUEST, or SYNC_RESPONSE. A DELTA payload is the canonical
-serialization of a delta (a full state is a delta too). A sync request
-says how much decided log the requester holds, ``{have}``; the response
-carries the responder's state plus only the log suffix past that point,
-``{state, from, log}``, where ``log`` holds the entries at indices
-``from`` onwards. Client frames are ``{op, key, value?}`` requests
-answered by ``{status, value?}`` responses. Duplicated or reordered peer
-frames are harmless by construction: merging is idempotent and
-commutative, and a receiver adopts only the suffix entries past its own
-log.
+serialization of a non-empty tuple of deltas, one per epoch and in epoch
+order, which the receiver absorbs in that order (a full state is a delta
+too). A sync request says how much decided log the requester holds,
+``{have}``; the response carries the responder's state plus only the log
+suffix past that point, ``{state, from, log}``, where ``log`` holds the
+entries at indices ``from`` onwards. Client frames are ``{op, key,
+value?}`` requests with string keys and values, answered by ``{status,
+value?}`` responses. Duplicated or reordered peer frames are harmless by
+construction: merging is idempotent and commutative, and a receiver
+adopts only the suffix entries past its own log.
 
 This module owns the payload formats: ``parse_envelope`` decodes every
 peer payload and ``parse_request`` reads every client request, and both
@@ -69,8 +70,9 @@ codec.register(
 )
 
 
-def delta_envelope(sender: str, delta) -> dict:
-    return {"sender": sender, "kind": DELTA, "payload": codec.encode(delta)}
+def delta_envelope(sender: str, parts) -> dict:
+    """Ship the deltas ``parts``, kept in epoch order, as one frame."""
+    return {"sender": sender, "kind": DELTA, "payload": codec.encode(tuple(parts))}
 
 
 def sync_request_envelope(sender: str, have: int) -> dict:
@@ -101,15 +103,19 @@ def _log_index(value) -> int:
 def parse_envelope(frame, log_length: int) -> tuple:
     """``(sender, kind, body)`` of a peer frame, its payload decoded.
 
-    The body of a DELTA is its state; of a SYNC_REQUEST, the requester's
-    log length ``have``; of a SYNC_RESPONSE, ``(state, ops)`` where ``ops``
-    are the suffix entries past ``log_length``, the receiver's own log.
+    The body of a DELTA is its tuple of states; of a SYNC_REQUEST, the
+    requester's log length ``have``; of a SYNC_RESPONSE, ``(state, ops)``
+    where ``ops`` are the suffix entries past ``log_length``, the
+    receiver's own log.
     """
     if not isinstance(frame, dict) or frame.get("kind") not in KINDS or "sender" not in frame:
         raise ValueError(f"malformed envelope: {frame!r}")
     sender, kind, payload = frame["sender"], frame["kind"], frame.get("payload")
     if kind == DELTA:
-        return sender, kind, codec.decode(payload)
+        parts = codec.decode(payload)
+        if type(parts) is not tuple or not parts:
+            raise ValueError("a delta payload is not a non-empty tuple")
+        return sender, kind, parts
     if not isinstance(payload, dict):
         raise ValueError(f"malformed {kind} payload")
     if kind == SYNC_REQUEST:
@@ -133,12 +139,13 @@ def request_frame(op) -> dict:
 
 
 def parse_request(frame):
-    if isinstance(frame, dict) and "key" in frame:
+    """The operation of a client request; keys and values are strings."""
+    if isinstance(frame, dict) and type(frame.get("key")) is str:
         kind = frame.get("op")
-        if kind == "put" and "value" in frame:
-            return Write(str(frame["key"]), str(frame["value"]))
+        if kind == "put" and type(frame.get("value")) is str:
+            return Write(frame["key"], frame["value"])
         if kind == "get":
-            return Read(str(frame["key"]))
+            return Read(frame["key"])
     raise ValueError(f"malformed request: {frame!r}")
 
 

@@ -11,9 +11,10 @@ through its combinator by ``lift``, which maps the empty inner delta to
 the variant's own bottom:
 
 * ``MultiPaxos``: an epoch counter around one instance; advancing
-  discards the decided instance, and the new epoch's single round reuses
-  a copy of the decided leader election, so the stable leader can
-  propose immediately without a new phase 1.
+  discards the decided instance and casts the advancing replica's own
+  election vote for the decided round's leader in the new epoch's seed
+  round, ``(leader, 0)``, so the stable leader proposes as soon as a
+  quorum has advanced, without opening a new ballot.
 * ``SequencePaxos``: a log of instances merged index-wise; a new entry
   may be appended only when every existing entry has decided.
 * ``GenPaxos``: a map of named decisions, each carrying the set of
@@ -47,10 +48,10 @@ from ..kernel import (
     UNDECIDED,
 )
 from ..lattice import Epoch, GrowSet, MergeList, MergeMap, ProductMixin
-from .paxos import PaxosRound, PaxosState, phase1a, single_round
+from .paxos import BallotNum, PaxosRound, PaxosState, is_current_leader, phase1a, single_round
 from .paxos import check_state as check_paxos_state
 from .paxos import decision as paxos_decision, propose as paxos_propose, upkeep as paxos_upkeep
-from .voting import Membership
+from .voting import Membership, VotingState
 
 
 def leader_of(state: PaxosState, membership: Membership) -> Optional[str]:
@@ -96,9 +97,14 @@ class _CounterQualified(Consensus):
 class MultiPaxos(_CounterQualified):
     """Repeated decisions under a stable leader, one epoch per decision.
 
-    Advancing copies the decided round's leader election into the new
-    epoch's first round, keyed by a fresh ballot owned by that leader, so
-    phase 2 is enabled there from the start.
+    Advancing seeds the new epoch with one round, ``(leader, 0)``, where
+    ``leader`` owns the decided round's ballot. The seed holds only the
+    advancing replica's own vote for that leader: a promise the replica
+    casts itself, as its first act in the new epoch, so no replica ever
+    speaks for another. Counter 0 sits below every ``phase1a`` ballot, so
+    any replica may still outbid the seed. The leader's seed is confirmed
+    once a quorum has advanced, and until then its ``propose`` waits
+    instead of opening a ballot; restarting is the election timer's job.
     """
 
     def __init__(self, membership: Membership):
@@ -114,8 +120,15 @@ class MultiPaxos(_CounterQualified):
     def propose(self, state: Epoch, value, ctx: ReplicaContext) -> Epoch:
         if isinstance(self.inner_decision(state), Decided):
             advanced = self.next_decision(state, ctx)
-            started = paxos_propose(advanced.value, value, ctx, self.membership)
-            return advanced.merge(in_epoch(advanced.counter, started))
+            return advanced.merge(self._propose_in_epoch(advanced, value, ctx))
+        return self._propose_in_epoch(state, value, ctx)
+
+    def _propose_in_epoch(self, state: Epoch, value, ctx: ReplicaContext) -> Epoch:
+        """``paxos.propose`` in the current epoch, except that the leader
+        of an unconfirmed seed round waits for its quorum to advance."""
+        inner, own_seed = state.value, BallotNum(ctx.replica_id, 0)
+        if inner.current_ballot() == own_seed and not is_current_leader(inner, self.membership, ctx):
+            return self.bottom()
         return in_epoch(state.counter, paxos_propose(state.value, value, ctx, self.membership))
 
     def upkeep(self, state: Epoch, ctx: ReplicaContext, pending=None) -> Epoch:
@@ -136,12 +149,11 @@ class MultiPaxos(_CounterQualified):
         check_paxos_state(state.value, is_value)
 
     def next_decision(self, state: Epoch, ctx: ReplicaContext) -> Epoch:
-        inner = state.value
-        for ballot, round_ in reversed(inner.rounds.entries):
+        for ballot, round_ in reversed(state.value.rounds.entries):
             if isinstance(round_.outcome(self.membership), Decided):
-                seed = inner.next_ballot(ballot.uid)
-                seeded = single_round(seed, PaxosRound(leader_election=round_.leader_election))
-                return Epoch(state.counter + 1, seeded)
+                vote = VotingState.of((ctx.replica_id, ballot.uid))
+                seed = single_round(BallotNum(ballot.uid, 0), PaxosRound(leader_election=vote))
+                return Epoch(state.counter + 1, seed)
         return self.bottom()
 
 

@@ -123,7 +123,16 @@ MEMBERS_VOTED_IN_A_ROUND = {"t": "epoch", "n": 0, "v": {"t": "paxos", "rounds": 
 NESTED_TUPS = "n1"
 for _ in range(400):
     NESTED_TUPS = {"t": "tup", "v": [NESTED_TUPS]}
-HOSTILE_PAYLOADS = (UNORDERED_ROUND_KEYS, MEMBERS_VOTED_IN_A_ROUND, NESTED_TUPS)
+
+
+def one_part(state_doc) -> dict:
+    """A DELTA payload of one part: the encoded 1-tuple of ``state_doc``."""
+    return {"t": "tup", "v": [state_doc]}
+
+
+# wrapped as DELTA payloads, so each still reaches decode and the shape check
+HOSTILE_PAYLOADS = tuple(
+    one_part(p) for p in (UNORDERED_ROUND_KEYS, MEMBERS_VOTED_IN_A_ROUND, NESTED_TUPS))
 
 
 # -- in-process KV cluster ----------------------------------------------

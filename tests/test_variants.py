@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from prdt import sim
 from prdt.kernel import Decided, INVALID, ReplicaContext, UNDECIDED
 from prdt.lattice import Epoch, GrowSet, MergeList, MergeMap
 from prdt.protocols.paxos import (
@@ -78,9 +79,11 @@ def test_epoch_propose_on_decided_opens_the_next_instance():
     protocol = MultiPaxos(R123)
     delta = protocol.propose(Epoch(0, decided_inner()), "v2", R2)
     assert delta.counter == 1
-    # the decided instance stays behind: only the carried election and
-    # the proposer's fresh ballot are in the new epoch
-    assert set(delta.value.rounds.keys()) == {BallotNum("r1", 2), BallotNum("r2", 3)}
+    # the decided instance stays behind: only the seed round, holding the
+    # proposer's own vote for r1, and the proposer's fresh ballot are in
+    # the new epoch
+    assert set(delta.value.rounds.keys()) == {BallotNum("r1", 0), BallotNum("r2", 1)}
+    assert delta.value.rounds.get(BallotNum("r1", 0)).leader_election == VotingState.of(("r2", "r1"))
     # the advanced epoch absorbs the decided instance it replaces
     assert delta.merge(Epoch(0, decided_inner())) == delta
 
@@ -96,19 +99,34 @@ def test_multipaxos_advance_carries_the_leader():
     advanced = protocol.next_decision(Epoch(0, decided_inner()), R3)
     assert advanced.counter == 1
     ((ballot, round_),) = advanced.value.rounds.entries
-    assert ballot == BallotNum("r1", 2)
-    assert round_.leader_election == decided_inner().rounds.get(BallotNum("r1", 1)).leader_election
+    # the seed sits below every phase1a ballot and holds one real
+    # promise: the advancing replica's own vote for the decided leader
+    assert ballot == BallotNum("r1", 0)
+    assert round_.leader_election == VotingState.of(("r3", "r1"))
     assert round_.proposals == VotingState.bottom()
-    # the carried election already makes r1 the leader of the new epoch
-    assert is_current_leader(advanced.value, R123, R1)
-    assert leader_of(advanced.value, R123) == "r1"
+    assert leader_of(advanced.value, R123) is None
+    # the leader is confirmed once a quorum has advanced
+    joined = advanced.merge(protocol.next_decision(Epoch(0, decided_inner()), R1))
+    assert is_current_leader(joined.value, R123, R1)
+    assert leader_of(joined.value, R123) == "r1"
+    assert protocol.next_decision(Epoch(4, decided_inner(leader="r2")), R1).value.current_ballot() \
+        == BallotNum("r2", 0)
 
 
 def test_multipaxos_retained_leader_proposes_without_an_election():
     protocol = MultiPaxos(R123)
-    delta = protocol.propose(Epoch(0, decided_inner()), "v2", R1)
-    assert delta.counter == 1
-    round_ = delta.value.rounds.get(BallotNum("r1", 2))
+    decided = Epoch(0, decided_inner())
+    # alone in the new epoch, the leader waits for its quorum instead of
+    # opening a ballot
+    delta = protocol.propose(decided, "v2", R1)
+    assert delta == protocol.next_decision(decided, R1)
+    assert protocol.propose(delta, "v2", R1) == protocol.bottom()
+    # once r2 has advanced too, its propose is phase 2 in the seed round
+    confirmed = delta.merge(protocol.next_decision(decided, R2))
+    step = protocol.propose(confirmed, "v2", R1)
+    assert step.counter == 1
+    assert set(step.value.rounds.keys()) == {BallotNum("r1", 0)}
+    round_ = step.value.rounds.get(BallotNum("r1", 0))
     assert {(v.voter, v.value) for v in round_.proposals.votes} == {("r1", "v2")}
 
 
@@ -116,8 +134,34 @@ def test_multipaxos_other_replica_must_open_a_ballot():
     protocol = MultiPaxos(R123)
     delta = protocol.propose(Epoch(0, decided_inner()), "v2", R2)
     assert delta.counter == 1
-    assert delta.value.current_ballot() == BallotNum("r2", 3)
-    assert leader_of(delta.value, R123) == "r1"
+    # r2's own ballot outbids the seed it just voted in
+    assert delta.value.current_ballot() == BallotNum("r2", 1)
+    assert BallotNum("r1", 0) < BallotNum("r2", 1)
+    assert leader_of(delta.value, R123) is None
+    # a seed that is not the replica's own never holds its propose back
+    seeded = protocol.next_decision(Epoch(0, decided_inner()), R3)
+    assert protocol.propose(seeded, "v2", R2).value.current_ballot() == BallotNum("r2", 1)
+
+
+def multipaxos_config(runs=1) -> sim.SimConfig:
+    return sim.SimConfig(replica_count=3, steps_per_run=200, runs=runs,
+                         value_pool=("val1", "val2"), rng_seed=13, stall_threshold=8)
+
+
+def test_multipaxos_advance_forges_no_promise():
+    # Copying the decided round's election into the next epoch claimed
+    # promises the other replicas never cast there; with that copy, this
+    # run turned slot 1 Invalid after 127 steps.
+    result = sim.run_one(MultiPaxos(R123), multipaxos_config(), 13)
+    assert result.ok, result.trace.violations
+    assert len(result.trace.steps) == 200
+
+
+def test_multipaxos_random_runs_keep_agreement():
+    report = sim.run_random_test(MultiPaxos(R123), multipaxos_config(runs=300), stop_on_failure=False)
+    assert (report.runs, report.failures) == (300, 0), (
+        report.first_failure.violations if report.first_failure else None)
+    assert report.decided_runs >= 290
 
 
 def test_multipaxos_advance_is_disabled_until_decided():
