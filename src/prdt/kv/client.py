@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import socket
 import sys
 
@@ -32,11 +31,16 @@ class KvClient:
         self.close()
 
     def request(self, frame: dict) -> dict:
+        """Send ``frame`` and return the reply, which must be a JSON
+        object; any other reply raises ``ValueError``."""
         self.sock.sendall(wire.encode_frame(frame))
         line = self.rfile.readline()
         if not line:
             raise ConnectionError("server closed the connection")
-        return json.loads(line)
+        response = next(wire.iter_frames((line,)), None)
+        if not isinstance(response, dict):
+            raise ValueError(f"malformed reply from the server: {line[:80]!r}")
+        return response
 
     def put(self, key: str, value: str) -> dict:
         return self.request(wire.request_frame(wire.Write(key, value)))
@@ -72,7 +76,7 @@ def main(argv=None) -> int:
                 response = client.put(args.key, args.value)
             else:
                 response = client.get(args.key)
-    except (OSError, ConnectionError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     status = response.get("status")

@@ -7,21 +7,23 @@ mutation happens on the caller's single thread, so snapshots handed to
 effects are immutable values and safe to serialize elsewhere.
 
 The consensus instance is one epoch of a stable-leader protocol per log
-entry. Every event that can change the state ends in one progress loop
-(``_progress``): upkeep, unless it already ran on this very state, then
-act on the epoch's decision until it stops changing. Decided appends
-the value to the local log *before* the advance discards the epoch; a
-replica whose epoch counter is ahead of its log length has a hole and
-waits for the sync exchange to fill it; until then its upkeep leaves the
-head operation out, since a hidden epoch may have decided it. A sync
-request carries the requester's log length; the response carries the
-state plus only the log entries past that length, and the receiver
-adopts those past its own length, which may have grown while the
-response was in flight. A core keeps at most one unanswered sync
-request per peer: a hole found while one is out asks nothing more, and
-the peer is asked again only after its response arrives, after it
-reconnects, or after a tick.
-Undecided proposes the head operation once per (epoch, request).
+entry, and the value an epoch decides is a batch: a non-empty tuple of
+operations. Every event that can change the state ends in one progress
+loop (``_progress``): upkeep, unless it already ran on this very state,
+then act on the epoch's decision until it stops changing. Decided
+appends the batch to the local log *before* the advance discards the
+epoch; a replica whose epoch counter is ahead of its log length (the
+number of decided epochs) has a hole and waits for the sync exchange to
+fill it; until then its upkeep leaves the pending operations out, since
+a hidden epoch may have decided them. A sync request carries the
+requester's log length; the response carries the state plus only the
+batches past that length, and the receiver adopts those past its own
+length, which may have grown while the response was in flight. A core
+keeps at most one unanswered sync request per peer: a hole found while
+one is out asks nothing more, and the peer is asked again only after its
+response arrives, after it reconnects, or after a tick.
+Undecided proposes every pending operation, in arrival order, as one
+batch, once per (epoch, head request).
 Invalid raises: the state can never be valid again, so the caller must
 fail stop.
 
@@ -31,11 +33,13 @@ every part, then absorbs them in order, progressing after each, so a
 follower's acceptance in epoch c and its first act in epoch c+1 share a
 frame without the advance hiding the decision of c.
 
-One client operation is serviced at a time, in arrival order. The head
-operation is re-proposed every epoch until the log accepts it; a decided
-epoch answers the client whose operation it holds. Reads are answered
-from the map the log applies to. An election timer restarts the ballot
-when the head operation makes no progress.
+Client operations queue in arrival order, and everything queued is
+proposed at once. Pending operations are re-proposed every epoch until
+the log accepts them. A decided batch is applied one operation at a
+time, and each one that equals the head of the queue answers that
+client. Reads are answered from the map the log applies to, so a read
+behind a write of its key in one batch sees that write. An election
+timer restarts the ballot when the head operation makes no progress.
 
 The core knows no protocol internals and no payload format: beside the
 consensus contract it calls the protocol's ``check_state`` on every peer
@@ -79,6 +83,9 @@ class ServerCore:
         self._check_state = self.protocol.check_state
         self._restart = self.protocol.restart
         self.state = self.protocol.bottom()
+        # one decided batch per epoch, the log that sync ships
+        self.log: List = []
+        # the operations of ``log`` in decided order
         self.decided_ops: List = []
         # the map the decided log applies to; reads are answered from it
         self.values: dict = {}
@@ -112,28 +119,28 @@ class ServerCore:
     def on_envelope(self, frame: dict) -> List:
         effects: List = []
         try:
-            sender, kind, body = wire.parse_envelope(frame, len(self.decided_ops))
+            sender, kind, body = wire.parse_envelope(frame, len(self.log))
             if sender not in self.peers:
                 raise ValueError(f"envelope from a non-peer: {sender!r}")
             if kind == wire.DELTA:
                 for part in body:
-                    self._check_state(part, wire.is_op)
+                    self._check_state(part, wire.is_batch)
                 for part in body:
                     self._absorb(part, sender, effects)
             elif kind == wire.SYNC_REQUEST:
                 # ship only the log suffix the requester lacks
-                start = min(body, len(self.decided_ops))
+                start = min(body, len(self.log))
                 effects.append(SendToPeer(
                     sender,
-                    wire.sync_response_envelope(self.uid, self.state, self.decided_ops, start),
+                    wire.sync_response_envelope(self.uid, self.state, self.log, start),
                 ))
             else:
                 state, missing = body
-                self._check_state(state, wire.is_op)
+                self._check_state(state, wire.is_batch)
                 # answered: a hole this answer leaves open asks again
                 self._asked.discard(sender)
-                for op in missing:
-                    self._append_decided(op, effects)
+                for batch in missing:
+                    self._append_decided(batch, effects)
                 self._absorb(state, sender, effects)
         except ValueError:
             # Malformed frames are dropped; the connection stays up and
@@ -169,7 +176,7 @@ class ServerCore:
         unless a request to it is still unanswered."""
         if peer not in self._asked:
             self._asked.add(peer)
-            effects.append(SendToPeer(peer, wire.sync_request_envelope(self.uid, len(self.decided_ops))))
+            effects.append(SendToPeer(peer, wire.sync_request_envelope(self.uid, len(self.log))))
 
     def _reset_election(self) -> None:
         self.election_deadline = self.now + self.election_timeout
@@ -204,7 +211,7 @@ class ServerCore:
         merged = self.protocol.merge(self.state, incoming)
         if merged != self.state:
             self.state = merged
-        if self.state.counter > len(self.decided_ops):
+        if self.state.counter > len(self.log):
             # The merge jumped past an epoch we never saw decided.
             self._request_sync(sender, effects)
         self._progress(effects)
@@ -213,55 +220,61 @@ class ServerCore:
         """The replica's one step after any event: upkeep, then act on
         the epoch's decision until there is nothing left to do."""
         if self.state is not self._upkept:
-            # Upkeep is a function of the state and the head operation,
-            # and the head matters only to a leader with no proposal yet,
-            # which the propose below covers: rerun on the same state
-            # (a client request, a duplicate delta) it adds nothing. A
-            # replica with a hole leaves the head out: an epoch the hole
-            # hides may have decided it already, and a leader proposing
-            # it again would apply it twice.
-            hole = self.state.counter > len(self.decided_ops)
-            head = self.pending[0][1] if self.pending and not hole else None
-            self._apply_local(self.protocol.upkeep(self.state, self.ctx, pending=head))
+            # Upkeep is a function of the state and the pending batch,
+            # and the batch matters only to a leader with no proposal
+            # yet, which the propose below covers: rerun on the same
+            # state (a client request, a duplicate delta) it adds
+            # nothing. A replica with a hole leaves the batch out: an
+            # epoch the hole hides may have decided it already, and a
+            # leader proposing it again would apply it twice.
+            hole = self.state.counter > len(self.log)
+            batch = self._pending_batch() if self.pending and not hole else None
+            self._apply_local(self.protocol.upkeep(self.state, self.ctx, pending=batch))
             self._upkept = self.state
         while True:
             d = self.protocol.inner_decision(self.state)
             if isinstance(d, Invalid):
                 raise AssertionError(f"replicated state became Invalid in epoch {self.state.counter}")
             if isinstance(d, Decided):
-                if self.state.counter > len(self.decided_ops):
+                if self.state.counter > len(self.log):
                     # Hole below the current epoch: wait for sync to fill
                     # it before appending, or indices would lie.
                     return
-                if self.state.counter == len(self.decided_ops):
+                if self.state.counter == len(self.log):
                     self._append_decided(d.value, effects)
                 step = self.protocol.next_decision(self.state, self.ctx)
             else:
-                # Propose the head operation once per (epoch, request).
+                # Propose everything pending once per (epoch, head request).
                 if not self.pending:
                     return
-                request_id, op = self.pending[0]
-                if self._last_proposal_key == (self.state.counter, request_id):
+                key = (self.state.counter, self.pending[0][0])
+                if self._last_proposal_key == key:
                     return
-                self._last_proposal_key = (self.state.counter, request_id)
+                self._last_proposal_key = key
                 if self.election_deadline is None:
                     self._reset_election()
-                step = self.protocol.propose(self.state, op, self.ctx)
+                step = self.protocol.propose(self.state, self._pending_batch(), self.ctx)
             if not self._apply_local(step):
                 return
 
-    def _append_decided(self, op, effects: List) -> None:
-        self.decided_ops.append(op)
+    def _pending_batch(self) -> tuple:
+        """Every pending operation, in arrival order."""
+        return tuple(op for _, op in self.pending)
+
+    def _append_decided(self, batch, effects: List) -> None:
+        self.log.append(batch)
+        self.decided_ops.extend(batch)
         self._upkept = None  # a longer log may close a hole: upkeep again
-        if isinstance(op, Write):
-            self.values[op.key] = op.value
-            response = wire.ok_response()
-        elif op.key in self.values:
-            response = wire.ok_response(self.values[op.key])
-        else:
-            response = wire.not_found_response()
-        if self.pending and self.pending[0][1] == op:
-            request_id, _ = self.pending.popleft()
-            effects.append(Respond(request_id, response))
-            self._last_proposal_key = None
-            self.election_deadline = None
+        for op in batch:
+            if isinstance(op, Write):
+                self.values[op.key] = op.value
+                response = wire.ok_response()
+            elif op.key in self.values:
+                response = wire.ok_response(self.values[op.key])
+            else:
+                response = wire.not_found_response()
+            if self.pending and self.pending[0][1] == op:
+                request_id, _ = self.pending.popleft()
+                effects.append(Respond(request_id, response))
+                self._last_proposal_key = None
+                self.election_deadline = None

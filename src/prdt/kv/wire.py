@@ -4,12 +4,14 @@ Peer frames are envelopes ``{sender, kind, payload}`` where kind is
 DELTA, SYNC_REQUEST, or SYNC_RESPONSE. A DELTA payload is the canonical
 serialization of a non-empty tuple of deltas, one per epoch and in epoch
 order, which the receiver absorbs in that order (a full state is a delta
-too). A sync request says how much decided log the requester holds,
-``{have}``; the response carries the responder's state plus only the log
-suffix past that point, ``{state, from, log}``, where ``log`` holds the
-entries at indices ``from`` onwards. Client frames are ``{op, key,
-value?}`` requests with string keys and values, answered by ``{status,
-value?}`` responses. Duplicated or reordered peer frames are harmless by
+too). The decided log holds one entry per decided epoch, a batch: the
+non-empty tuple of operations that epoch decided, in order. A sync
+request says how many decided epochs the requester holds, ``{have}``;
+the response carries the responder's state plus only the log suffix past
+that point, ``{state, from, log}``, where ``log`` holds the batches of
+epochs ``from`` onwards. Client frames are ``{op, key, value?}``
+requests with string keys and values, answered by ``{status, value?}``
+responses. Duplicated or reordered peer frames are harmless by
 construction: merging is idempotent and commutative, and a receiver
 adopts only the suffix entries past its own log.
 
@@ -56,6 +58,12 @@ def is_op(value) -> bool:
     return isinstance(value, Read) and type(value.key) is str
 
 
+def is_batch(value) -> bool:
+    """True for a well-formed batch, the value one epoch decides: a
+    non-empty tuple of operations."""
+    return type(value) is tuple and len(value) > 0 and all(map(is_op, value))
+
+
 codec.register(
     Write,
     "put",
@@ -76,19 +84,19 @@ def delta_envelope(sender: str, parts) -> dict:
 
 
 def sync_request_envelope(sender: str, have: int) -> dict:
-    """Ask a peer for its state and the decided log past entry ``have``."""
+    """Ask a peer for its state and the decided log past epoch ``have``."""
     return {"sender": sender, "kind": SYNC_REQUEST, "payload": {"have": have}}
 
 
-def sync_response_envelope(sender: str, state, decided_ops, start: int) -> dict:
-    """Ship ``state`` and the log suffix ``decided_ops[start:]``."""
+def sync_response_envelope(sender: str, state, log, start: int) -> dict:
+    """Ship ``state`` and the batches ``log[start:]``, one per epoch."""
     return {
         "sender": sender,
         "kind": SYNC_RESPONSE,
         "payload": {
             "state": codec.encode(state),
             "from": start,
-            "log": [codec.encode(op) for op in decided_ops[start:]],
+            "log": [codec.encode(batch) for batch in log[start:]],
         },
     }
 
@@ -104,9 +112,9 @@ def parse_envelope(frame, log_length: int) -> tuple:
     """``(sender, kind, body)`` of a peer frame, its payload decoded.
 
     The body of a DELTA is its tuple of states; of a SYNC_REQUEST, the
-    requester's log length ``have``; of a SYNC_RESPONSE, ``(state, ops)``
-    where ``ops`` are the suffix entries past ``log_length``, the
-    receiver's own log.
+    requester's log length ``have``; of a SYNC_RESPONSE, ``(state,
+    batches)`` where ``batches`` are the suffix entries past
+    ``log_length``, the number of epochs the receiver's log holds.
     """
     if not isinstance(frame, dict) or frame.get("kind") not in KINDS or "sender" not in frame:
         raise ValueError(f"malformed envelope: {frame!r}")
@@ -126,10 +134,10 @@ def parse_envelope(frame, log_length: int) -> tuple:
     if not isinstance(log, list):
         raise ValueError("sync log is not a list")
     # suffix entries below the receiver's log length are decided there already
-    ops = [codec.decode(doc) for doc in log[log_length - start:]]
-    if not all(map(is_op, ops)):
-        raise ValueError("sync log holds a non-operation")
-    return sender, kind, (codec.decode(payload.get("state")), ops)
+    batches = [codec.decode(doc) for doc in log[log_length - start:]]
+    if not all(map(is_batch, batches)):
+        raise ValueError("sync log holds a non-batch")
+    return sender, kind, (codec.decode(payload.get("state")), batches)
 
 
 def request_frame(op) -> dict:

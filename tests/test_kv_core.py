@@ -11,7 +11,7 @@ from prdt import codec
 from prdt.kernel import Consensus
 from prdt.kv import wire
 from prdt.kv.core import Respond, SendToPeer, ServerCore
-from prdt.kv.wire import Write
+from prdt.kv.wire import Read, Write
 from prdt.lattice import Epoch, MergeMap
 from prdt.protocols.paxos import BallotNum, PaxosRound, PaxosState
 from prdt.protocols.voting import VotingState
@@ -65,6 +65,24 @@ HOSTILE_SYNC_FRAMES = [
        "payload": {"state": EPOCH_1_STATE, "from": start, "log": [PUT_DOC]}}
       for start in (True, -1, 1)),
 ]
+
+
+def proposal_of(value_doc) -> dict:
+    """A DELTA whose epoch-0 round, led by n2, holds n2's vote for ``value_doc``."""
+    def voting(value):
+        return {"t": "voting", "v": {"t": "set", "v": [{"t": "vote", "p": "n2", "v": value}]}}
+    round_ = {"t": "round", "le": voting("n2"), "prop": voting(value_doc)}
+    return {"kind": "DELTA", "sender": "n2", "payload": one_part(
+        {"t": "epoch", "n": 0, "v": {"t": "paxos", "rounds": {"t": "map", "v": [[BALLOT_N2_1, round_]]}}})}
+
+
+# an epoch decides a batch, a non-empty tuple of operations: a bare op
+# (the form before batches), an empty tuple and a tuple holding a non-op
+# are dropped, as is a sync log entry that is a bare op
+NOT_A_BATCH = [proposal_of(doc) for doc in (
+    PUT_DOC, {"t": "tup", "v": []}, {"t": "tup", "v": [PUT_DOC, {"t": "set", "v": []}]})] + [
+    {"kind": "SYNC_RESPONSE", "sender": "n2",
+     "payload": {"state": BOTTOM_STATE, "from": 0, "log": [PUT_DOC]}}]
 
 
 def roundtrip(envelope: dict) -> dict:
@@ -158,14 +176,54 @@ def test_malformed_frames_are_dropped():
     # and so is a payload whose decoding fails with any error
     hostile = [{"kind": "DELTA", "sender": "n2", "payload": p} for p in HOSTILE_PAYLOADS]
     for frame in (WRONG_INNER_STATE, STRING_ROUND_KEY, REPEATED_ROUND_KEY, NON_OP_SYNC_LOG,
-                  *HOSTILE_SYNC_FRAMES, *hostile, *NOT_A_TUPLE_DELTAS, BAD_SECOND_PART):
+                  *HOSTILE_SYNC_FRAMES, *hostile, *NOT_A_TUPLE_DELTAS, BAD_SECOND_PART,
+                  *NOT_A_BATCH):
         assert core.on_envelope(frame) == []
         assert core.state == core.protocol.bottom()
         assert core.decided_ops == []
+    # the same proposal voting a batch is taken
+    core.on_envelope(proposal_of({"t": "tup", "v": [PUT_DOC]}))
+    assert core.state != core.protocol.bottom()
     for frame in (STRING_ROUND_KEY, REPEATED_ROUND_KEY):
         net = MemoryNet()
         assert net.cores["n1"].on_envelope(frame) == []
         assert net.put("n1", "k", "v") == {"status": "ok"}
+
+
+def test_requests_queued_on_one_node_are_decided_as_batches(memory_net):
+    frames = [
+        {"op": "put", "key": "k", "value": "1"}, {"op": "get", "key": "k"},
+        {"op": "put", "key": "j", "value": "2"}, {"op": "put", "key": "k", "value": "3"},
+        {"op": "get", "key": "k"}, {"op": "get", "key": "absent"},
+    ]
+    n1 = memory_net.cores["n1"]
+
+    def queue(first, frames):
+        effects = []
+        for i, frame in enumerate(frames, first):
+            effects += n1.on_client_request(("n1", i), frame)
+        memory_net._pump("n1", effects)
+
+    queue(0, frames)
+    # answered in arrival order, each read by the writes before it
+    assert list(memory_net.responses.items()) == [
+        (("n1", 0), {"status": "ok"}), (("n1", 1), {"status": "ok", "value": "1"}),
+        (("n1", 2), {"status": "ok"}), (("n1", 3), {"status": "ok"}),
+        (("n1", 4), {"status": "ok", "value": "3"}), (("n1", 5), {"status": "not_found"}),
+    ]
+    assert n1.decided_ops == [wire.parse_request(f) for f in frames]
+    assert len(n1.log) < len(frames)
+    # a write and a later read of its key shared one batch
+    assert any(Write("k", "1") in batch and Read("k") in batch for batch in n1.log)
+    # n3 misses the next batches and catches up by epochs, not by ops
+    memory_net.blocked = {("n3", "n1"), ("n1", "n3"), ("n3", "n2"), ("n2", "n3")}
+    queue(len(frames), frames[:4])
+    assert len(memory_net.responses) == len(frames) + 4
+    memory_net.blocked.clear()
+    memory_net.connect_all()
+    logs = [(core.log, core.decided_ops) for core in memory_net.cores.values()]
+    assert logs[0] == logs[1] == logs[2]
+    assert len(n1.decided_ops) == len(frames) + 4
 
 
 def test_epoch_hole_triggers_a_sync_request(memory_net):
@@ -183,10 +241,10 @@ def test_epoch_hole_triggers_a_sync_request(memory_net):
     assert [e.peer for e in wants_sync] == ["n2"]
     assert wants_sync[0].envelope["payload"] == {"have": 0}
     assert fresh.decided_ops == []
-    response = roundtrip(wire.sync_response_envelope("n2", donor.state, donor.decided_ops, 0))
+    response = roundtrip(wire.sync_response_envelope("n2", donor.state, donor.log, 0))
     fresh.on_envelope(response)
     assert fresh.decided_ops == donor.decided_ops
-    assert fresh.state.counter == len(fresh.decided_ops)
+    assert fresh.state.counter == len(fresh.log)
 
 
 def sync_requests(effects) -> list:
@@ -199,7 +257,7 @@ def test_a_core_keeps_one_unanswered_sync_request_per_peer(memory_net):
     for i in range(4):
         memory_net.put("n2", f"k{i}", "v")
         states.append(memory_net.cores["n2"].state)
-        logs.append(list(memory_net.cores["n2"].decided_ops))
+        logs.append(list(memory_net.cores["n2"].log))
     core = ServerCore("n1", ("n2", "n3"))
 
     def delta(sender, state):
@@ -211,7 +269,7 @@ def test_a_core_keeps_one_unanswered_sync_request_per_peer(memory_net):
     assert sync_requests(delta("n3", states[1])) == ["n3"]
     # n2's answer fills the log to 2 and re-arms n2 only
     core.on_envelope(roundtrip(wire.sync_response_envelope("n2", states[1], logs[1], 0)))
-    assert core.decided_ops == logs[1]
+    assert core.log == logs[1]
     assert sync_requests(delta("n3", states[2])) == []
     assert sync_requests(delta("n2", states[2])) == ["n2"]
     assert sync_requests(delta("n2", states[3])) == []
@@ -263,10 +321,10 @@ def test_a_leader_with_a_hole_leaves_its_head_unproposed():
     assert round_.leader(core.protocol.membership) == "n1"
     assert round_.proposals == VotingState.bottom()
     # once a sync answer fills the hole, n1 proposes its put at once
-    core.on_envelope(roundtrip(wire.sync_response_envelope("n2", core.state, [Write("a", "b")], 0)))
+    core.on_envelope(roundtrip(wire.sync_response_envelope("n2", core.state, [(Write("a", "b"),)], 0)))
     assert core.decided_ops == [Write("a", "b")]
     votes = core.state.value.rounds.get(ballot).proposals.votes
-    assert {(v.voter, v.value) for v in votes} == {("n1", Write("k", "v"))}
+    assert {(v.voter, v.value) for v in votes} == {("n1", (Write("k", "v"),))}
 
 
 def test_rejoining_node_receives_only_the_missed_suffix():
@@ -311,11 +369,11 @@ def test_sync_suffix_overlapping_the_log_adopts_only_the_new_entries():
     assert len(behind.decided_ops) == 2
     # the suffix starts at 1, below the receiver's length 2: entry 1 is
     # already decided here, so only entries 2 and 3 are appended
-    response = roundtrip(wire.sync_response_envelope("n1", donor.state, donor.decided_ops, 1))
+    response = roundtrip(wire.sync_response_envelope("n1", donor.state, donor.log, 1))
     assert len(response["payload"]["log"]) == 3
     behind.on_envelope(response)
     assert behind.decided_ops == donor.decided_ops
-    assert behind.state.counter == len(behind.decided_ops) == 4
+    assert behind.state.counter == len(behind.log) == 4
 
 
 def test_restarted_node_recovers_via_connect(memory_net):

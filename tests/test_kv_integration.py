@@ -9,6 +9,7 @@ import random
 import socket
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -60,6 +61,72 @@ def test_client_cli_exit_codes_and_output(capsys):
         assert client_main(["--server", server, "get", "absent"]) == 0
         assert capsys.readouterr().out.strip() == "(not found)"
     assert client_main(["--server", "not-an-address", "get", "k"]) == 2
+
+
+@pytest.mark.parametrize("reply", [b"not json\n", b"[1,2]\n"])
+def test_client_cli_reports_a_malformed_reply(reply, capsys):
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        listener.settimeout(5)
+        port = listener.getsockname()[1]
+
+        def answer_once():
+            conn, _ = listener.accept()
+            with conn:
+                conn.makefile("rb").readline()
+                conn.sendall(reply)
+
+        server = threading.Thread(target=answer_once)
+        server.start()
+        try:
+            assert client_main(["--server", f"127.0.0.1:{port}", "get", "k"]) == 1
+        finally:
+            server.join(timeout=5)
+    assert not server.is_alive()
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_concurrent_clients_on_every_node_read_their_own_writes():
+    """Four clients on n1 and one on each of n2 and n3, each on its own
+    keys: n1 decides several queued ops per epoch while the others
+    contend for the same epochs."""
+    rounds, keys = 25, 3
+    homes = ["n1"] * 4 + ["n2", "n3"]
+    problems = []
+    with kv_cluster(3) as addrs:
+
+        def client_loop(index, uid):
+            last = {}
+            try:
+                with KvClient(*addrs[uid]) as client:
+                    for i in range(rounds):
+                        key = f"c{index}.k{i % keys}"
+                        value = f"{uid}.{i}"
+                        if client.put(key, value) != {"status": "ok"}:
+                            problems.append(f"client {index}: put {key} failed")
+                        last[key] = value
+                        got = client.get(key)
+                        if got != {"status": "ok", "value": value}:
+                            problems.append(f"client {index}: get {key} gave {got}, want {value!r}")
+            except (OSError, ValueError) as exc:
+                problems.append(f"client {index}: {exc!r}")
+            finals.append(last)
+
+        finals = []
+        threads = [threading.Thread(target=client_loop, args=(i, uid)) for i, uid in enumerate(homes)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert problems == []
+        assert len(finals) == len(homes)
+        # every node's log applies to the same map: each reads every key
+        # as its client's last put
+        for uid in addrs:
+            with KvClient(*addrs[uid]) as client:
+                for last in finals:
+                    for key, value in last.items():
+                        assert client.get(key) == {"status": "ok", "value": value}
 
 
 def test_ports_above_65535_are_rejected():
@@ -137,7 +204,7 @@ def test_a_node_whose_state_turns_invalid_fails_stop():
     try:
         wait_listening("n1", proc, "127.0.0.1", port)
         # n2 votes for two different proposals in one round
-        proposals = VotingState.of(("n2", Write("k", "a")), ("n2", Write("k", "b")))
+        proposals = VotingState.of(("n2", (Write("k", "a"),)), ("n2", (Write("k", "b"),)))
         round_ = PaxosRound(leader_election=VotingState.of(("n2", "n2")), proposals=proposals)
         delta = Epoch(0, PaxosState(MergeMap({BallotNum("n2", 1): round_})))
         with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
