@@ -8,6 +8,7 @@ and for collecting desk-scale numbers.
 """
 
 import argparse
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -27,8 +28,14 @@ def main():
     parser.add_argument("--out", default=None, help="CSV output path (default: temp file)")
     parser.add_argument("--nodes", type=int, default=3)
     args = parser.parse_args()
-
-    out_path = args.out or tempfile.mktemp(prefix="bench-", suffix=".csv")
+    if args.ops < 1 or args.nodes < 1:
+        print("error: --ops and --nodes must be at least 1", file=sys.stderr)
+        return 2
+    if args.out:
+        out_path = args.out
+    else:
+        fd, out_path = tempfile.mkstemp(prefix="bench-", suffix=".csv")
+        os.close(fd)
     with kv_cluster(args.nodes) as addrs:
         # one throwaway op so the cluster elects before timing starts
         with KvClient(*addrs["n1"], timeout=30.0) as client:

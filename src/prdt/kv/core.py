@@ -12,16 +12,18 @@ operations. Every event that can change the state ends in one progress
 loop (``_progress``): upkeep, unless it already ran on this very state,
 then act on the epoch's decision until it stops changing. Decided
 appends the batch to the local log *before* the advance discards the
-epoch; a replica whose epoch counter is ahead of its log length (the
-number of decided epochs) has a hole and waits for the sync exchange to
-fill it; until then its upkeep leaves the pending operations out, since
-a hidden epoch may have decided them. A sync request carries the
-requester's log length; the response carries the state plus only the
-batches past that length, and the receiver adopts those past its own
-length, which may have grown while the response was in flight. A core
-keeps at most one unanswered sync request per peer: a hole found while
-one is out asks nothing more, and the peer is asked again only after its
-response arrives, after it reconnects, or after a tick.
+epoch. A replica whose epoch counter is ahead of its log length (the
+number of decided epochs) has a hole: it does not know what the hidden
+epochs decided, and they may have decided its pending operations. Its
+progress loop then takes no step (no upkeep, no proposal, no append)
+and only asks the peer it heard from for a sync, until a sync answer
+fills the log. A sync request carries the requester's log length; the
+response carries the state plus only the batches past that length, and
+the receiver adopts those past its own length, which may have grown
+while the response was in flight. A core keeps at most one unanswered
+sync request per peer: a hole found while one is out asks nothing more,
+and the peer is asked again only after its response arrives, after it
+reconnects, or after a tick.
 Undecided proposes every pending operation, in arrival order, as one
 batch, once per (epoch, head request).
 Invalid raises: the state can never be valid again, so the caller must
@@ -211,24 +213,22 @@ class ServerCore:
         merged = self.protocol.merge(self.state, incoming)
         if merged != self.state:
             self.state = merged
-        if self.state.counter > len(self.log):
-            # The merge jumped past an epoch we never saw decided.
-            self._request_sync(sender, effects)
-        self._progress(effects)
+        self._progress(effects, sender)
 
-    def _progress(self, effects: List) -> None:
+    def _progress(self, effects: List, sender: Optional[str] = None) -> None:
         """The replica's one step after any event: upkeep, then act on
-        the epoch's decision until there is nothing left to do."""
+        the epoch's decision until there is nothing left to do. With a
+        hole it takes no step and asks ``sender``, if any, for a sync."""
+        if self.state.counter > len(self.log):
+            if sender is not None:
+                self._request_sync(sender, effects)
+            return
         if self.state is not self._upkept:
             # Upkeep is a function of the state and the pending batch,
             # and the batch matters only to a leader with no proposal
             # yet, which the propose below covers: rerun on the same
-            # state (a client request, a duplicate delta) it adds
-            # nothing. A replica with a hole leaves the batch out: an
-            # epoch the hole hides may have decided it already, and a
-            # leader proposing it again would apply it twice.
-            hole = self.state.counter > len(self.log)
-            batch = self._pending_batch() if self.pending and not hole else None
+            # state (a client request, a duplicate delta) adds nothing.
+            batch = self._pending_batch() if self.pending else None
             self._apply_local(self.protocol.upkeep(self.state, self.ctx, pending=batch))
             self._upkept = self.state
         while True:
@@ -236,10 +236,6 @@ class ServerCore:
             if isinstance(d, Invalid):
                 raise AssertionError(f"replicated state became Invalid in epoch {self.state.counter}")
             if isinstance(d, Decided):
-                if self.state.counter > len(self.log):
-                    # Hole below the current epoch: wait for sync to fill
-                    # it before appending, or indices would lie.
-                    return
                 if self.state.counter == len(self.log):
                     self._append_decided(d.value, effects)
                 step = self.protocol.next_decision(self.state, self.ctx)
@@ -264,7 +260,6 @@ class ServerCore:
     def _append_decided(self, batch, effects: List) -> None:
         self.log.append(batch)
         self.decided_ops.extend(batch)
-        self._upkept = None  # a longer log may close a hole: upkeep again
         for op in batch:
             if isinstance(op, Write):
                 self.values[op.key] = op.value

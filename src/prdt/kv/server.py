@@ -76,7 +76,9 @@ class _Conn:
 class Server:
     def __init__(self, uid: str, listen, peers, election_timeout_ms: int = 500):
         self.core = ServerCore(uid, tuple(peers), election_timeout_ms / 1000.0)
-        self.listen_addr = listen
+        # bound here, so a taken port fails before the server says it listens
+        self.listener = socket.create_server(listen, backlog=64)  # sets SO_REUSEADDR
+        self.listener.setblocking(False)
         self.peer_addrs = dict(peers)
         self.selector = selectors.DefaultSelector()
         self.links = {}  # peer -> its link while connecting or up
@@ -86,9 +88,7 @@ class Server:
         self._request_seq = 0
 
     def serve_forever(self) -> None:
-        listener = socket.create_server(self.listen_addr, backlog=64)  # sets SO_REUSEADDR
-        listener.setblocking(False)
-        self.selector.register(listener, selectors.EVENT_READ)
+        self.selector.register(self.listener, selectors.EVENT_READ)
         next_tick = time.monotonic() + _TICK_SECONDS
         while True:
             now = time.monotonic()
@@ -241,7 +241,11 @@ def main(argv=None) -> int:
     if args.id in peers:
         print("error: --peers must not include the server's own id", file=sys.stderr)
         return 2
-    server = Server(args.id, listen, peers, args.election_timeout_ms)
+    try:
+        server = Server(args.id, listen, peers, args.election_timeout_ms)
+    except OSError as exc:
+        print(f"error: cannot listen on {args.listen}: {exc}", file=sys.stderr)
+        return 1
     print(f"prdt-kvd {args.id} listening on {args.listen} with peers {sorted(peers)}", flush=True)
     try:
         server.serve_forever()

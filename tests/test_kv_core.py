@@ -300,31 +300,54 @@ def test_a_sync_request_lost_on_a_blocked_link_is_sent_again_after_a_tick():
     assert lagging.decided_ops == leader.decided_ops
 
 
+def voters(state) -> set:
+    """The replicas with any vote in the current epoch."""
+    return {v.voter for _, round_ in state.value.rounds.entries
+            for votes in (round_.leader_election.votes, round_.proposals.votes) for v in votes}
+
+
 def test_a_leader_with_a_hole_leaves_its_head_unproposed():
     core = ServerCore("n1", ("n2", "n3"))
     core.on_client_request(("n1", 0), {"op": "put", "key": "k", "value": "v"})
+    candidacy = BallotNum("n2", 1)
 
-    def epoch_1_round(ballot, voter):
-        election = VotingState.of((voter, ballot.uid))
-        return Epoch(1, PaxosState(MergeMap({ballot: PaxosRound(leader_election=election)})))
+    def epoch_1_vote(voter):
+        election = VotingState.of((voter, candidacy.uid))
+        return Epoch(1, PaxosState(MergeMap({candidacy: PaxosRound(leader_election=election)})))
 
-    # n1 lands in epoch 1 without having seen epoch 0 decided; its
-    # propose there outbids n2's candidacy with its own ballot
-    core.on_envelope(roundtrip(wire.delta_envelope("n2", (epoch_1_round(BallotNum("n2", 1), "n2"),))))
+    # n1 lands in epoch 1 without having seen epoch 0 decided, which may
+    # have decided its put: it opens no ballot and casts no vote, and
+    # only asks each sender for the log
+    for voter in ("n2", "n3"):
+        effects = core.on_envelope(roundtrip(wire.delta_envelope(voter, (epoch_1_vote(voter),))))
+        assert [(e.peer, e.envelope["kind"]) for e in effects] == [(voter, wire.SYNC_REQUEST)]
     assert core.state.counter == 1 and core.decided_ops == []
-    ballot = core.state.value.current_ballot()
-    assert ballot.uid == "n1"
-    # n3 confirms n1 while the hole is open: epoch 0 may have decided
-    # n1's put already, so upkeep proposes nothing
-    core.on_envelope(roundtrip(wire.delta_envelope("n3", (epoch_1_round(ballot, "n3"),))))
-    round_ = core.state.value.rounds.get(ballot)
-    assert round_.leader(core.protocol.membership) == "n1"
-    assert round_.proposals == VotingState.bottom()
-    # once a sync answer fills the hole, n1 proposes its put at once
-    core.on_envelope(roundtrip(wire.sync_response_envelope("n2", core.state, [(Write("a", "b"),)], 0)))
+    assert [ballot for ballot, _ in core.state.value.rounds.entries] == [candidacy]
+    assert voters(core.state) == {"n2", "n3"}
+    # once a sync answer fills the hole, n1 takes its first step in epoch 1
+    effects = core.on_envelope(roundtrip(wire.sync_response_envelope("n2", core.state, [(Write("a", "b"),)], 0)))
     assert core.decided_ops == [Write("a", "b")]
-    votes = core.state.value.rounds.get(ballot).proposals.votes
-    assert {(v.voter, v.value) for v in votes} == {("n1", (Write("k", "v"),))}
+    assert "n1" in voters(core.state)
+    sent = [e.envelope for e in effects if isinstance(e, SendToPeer)]
+    assert sent and all(env["kind"] == wire.DELTA for env in sent)
+    assert {part.counter for env in sent for part in codec.decode(env["payload"])} == {1}
+
+
+def test_a_core_with_a_hole_does_not_vote_a_put_an_earlier_epoch_decided():
+    core = ServerCore("n1", ("n2", "n3"))
+    answers = core.on_client_request(("n1", 0), {"op": "put", "key": "k", "value": "v"})
+    # n2 advanced past epoch 0 with n1 as leader: its epoch 1 holds only
+    # the seed round (n1, 0) and n2's vote for n1
+    seed = Epoch(1, PaxosState(MergeMap({BallotNum("n1", 0): PaxosRound(
+        leader_election=VotingState.of(("n2", "n1")))})))
+    answers += core.on_envelope(roundtrip(wire.delta_envelope("n2", (seed,))))
+    # the log n2's sync answer brings shows epoch 0 decided the put
+    answers += core.on_envelope(roundtrip(
+        wire.sync_response_envelope("n2", seed, [(Write("k", "v"),)], 0)))
+    assert core.decided_ops == [Write("k", "v")]
+    assert [e.request_id for e in answers if isinstance(e, Respond)] == [("n1", 0)]
+    assert core.state.counter == 1
+    assert all(not round_.proposals.votes for _, round_ in core.state.value.rounds.entries)
 
 
 def test_rejoining_node_receives_only_the_missed_suffix():

@@ -149,6 +149,17 @@ def test_server_cli_rejects_a_port_above_65535(argv, capsys):
     assert "65535" in capsys.readouterr().err
 
 
+def test_server_cli_reports_a_port_it_cannot_listen_on(capsys):
+    with socket.socket() as held:
+        held.bind(("127.0.0.1", 0))
+        held.listen()
+        listen = f"127.0.0.1:{held.getsockname()[1]}"
+        assert server_main(["--id", "n1", "--listen", listen]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot listen on {listen}: ")
+
+
 def test_client_and_bench_clis_reject_a_port_above_65535(tmp_path, capsys):
     # getaddrinfo would wrap 70000 to 4464 and talk to whatever listens there
     assert client_main(["--server", "127.0.0.1:70000", "get", "k"]) == 2
@@ -311,11 +322,25 @@ def test_cluster_start_fails_fast_when_a_server_exits():
     assert time.monotonic() - started < 5.0
 
 
+LOCAL_BENCH = Path(__file__).resolve().parent.parent / "scripts" / "run_bench_local.py"
+
+
 def test_local_bench_script_runs_from_a_checkout(tmp_path):
-    script = Path(__file__).resolve().parent.parent / "scripts" / "run_bench_local.py"
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     result = subprocess.run(
-        [sys.executable, str(script), "--ops", "20", "--out", str(tmp_path / "run.csv")],
+        [sys.executable, str(LOCAL_BENCH), "--ops", "20", "--out", str(tmp_path / "run.csv")],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("flag", ["--ops", "--nodes"])
+def test_local_bench_script_rejects_counts_below_one_before_spawning(flag, tmp_path):
+    out = tmp_path / "run.csv"
+    result = subprocess.run(
+        [sys.executable, str(LOCAL_BENCH), flag, "0", "--out", str(out)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ") and "Traceback" not in result.stderr
+    assert result.stdout == "" and not out.exists()
