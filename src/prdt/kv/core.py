@@ -24,8 +24,9 @@ while the response was in flight. A core keeps at most one unanswered
 sync request per peer: a hole found while one is out asks nothing more,
 and the peer is asked again only after its response arrives, after it
 reconnects, or after a tick.
-Undecided proposes every pending operation, in arrival order, as one
-batch, once per (epoch, head request).
+Undecided proposes every pending operation, in arrival order, then every
+forwarded one, as one batch, once per (epoch, head request); or forwards
+the pending ones to the leader (below).
 Invalid raises: the state can never be valid again, so the caller must
 fail stop.
 
@@ -43,11 +44,26 @@ client. Reads are answered from the map the log applies to, so a read
 behind a write of its key in one batch sees that write. An election
 timer restarts the ballot when the head operation makes no progress.
 
+A core with pending operations whose leader (the owner of the current
+epoch's highest ballot) is another peer opens no ballot: it sends that
+peer one FORWARD of every pending operation, once per (epoch, head
+request, leader), and again when the leader reconnects. It does so only
+if it has heard that peer directly in its current epoch or the one
+before; a leader it cannot reach would swallow every forward, so then it
+proposes as before. The origin keeps its operations pending and answers
+its clients from its own log; if the leader is gone, the election timer
+restarts the ballot and the origin proposes them itself. The leader
+keeps forwarded operations after its own pending ones, drops one that
+equals an operation it already holds or that the log decided past the
+sender's length, and drops each as the log decides it. Only the owner
+of the current ballot proposes forwarded operations.
+
 The core knows no protocol internals and no payload format: beside the
 consensus contract it calls the protocol's ``check_state`` on every peer
-state before a merge and its ``restart`` on an election timeout, and
-``wire`` parses every frame. Both raise only ``ValueError``, so a
-malformed frame is dropped and never stops a node.
+state before a merge, its ``restart`` on an election timeout and its
+``leader`` before proposing, and ``wire`` parses every frame. Both
+``check_state`` and ``wire`` raise only ``ValueError``, so a malformed
+frame is dropped and never stops a node.
 """
 
 from __future__ import annotations
@@ -84,6 +100,7 @@ class ServerCore:
         # forwards only the contract's methods
         self._check_state = self.protocol.check_state
         self._restart = self.protocol.restart
+        self._leader = self.protocol.leader
         self.state = self.protocol.bottom()
         # one decided batch per epoch, the log that sync ships
         self.log: List = []
@@ -92,10 +109,15 @@ class ServerCore:
         # the map the decided log applies to; reads are answered from it
         self.values: dict = {}
         self.pending = deque()
+        # operations other nodes handed to this one, in arrival order
+        self.forwarded: List = []
         self.now = 0.0
         self.election_timeout = election_timeout
         self.election_deadline: Optional[float] = None
         self._last_proposal_key = None
+        self._last_forward_key = None
+        # each peer's last envelope: our epoch counter when it arrived
+        self._heard: dict = {}
         self._upkept = None  # the state upkeep last ran on
         # The deltas generated while handling the current event, joined
         # per epoch in epoch order; flushed as one envelope per peer when
@@ -124,6 +146,7 @@ class ServerCore:
             sender, kind, body = wire.parse_envelope(frame, len(self.log))
             if sender not in self.peers:
                 raise ValueError(f"envelope from a non-peer: {sender!r}")
+            self._heard[sender] = self.state.counter
             if kind == wire.DELTA:
                 for part in body:
                     self._check_state(part, wire.is_batch)
@@ -136,6 +159,17 @@ class ServerCore:
                     sender,
                     wire.sync_response_envelope(self.uid, self.state, self.log, start),
                 ))
+            elif kind == wire.FORWARD:
+                have, batch = body
+                # an op decided in an epoch the sender had not seen is
+                # not taken again, nor is one already held
+                held = set(self._batch())
+                held.update(op for decided in self.log[have:] for op in decided)
+                for op in batch:
+                    if op not in held:
+                        held.add(op)
+                        self.forwarded.append(op)
+                self._progress(effects)
             else:
                 state, missing = body
                 self._check_state(state, wire.is_batch)
@@ -158,7 +192,11 @@ class ServerCore:
         self._asked.discard(peer)
         self._request_sync(peer, effects)
         effects.append(SendToPeer(peer, wire.delta_envelope(self.uid, (self.state,))))
-        return effects
+        # So may a forward to the leader: send it again.
+        if peer == self._leader(self.state):
+            self._last_forward_key = None
+            self._progress(effects)
+        return self._flush(effects)
 
     def on_tick(self, now: float) -> List:
         self.now = now
@@ -167,6 +205,9 @@ class ServerCore:
         self._asked.clear()
         if self.pending and self.election_deadline is not None and now >= self.election_deadline:
             self._apply_local(self._restart(self.state, self.ctx))
+            # the fresh ballot is this epoch's proposal of the head, also
+            # after a forward: upkeep votes the batch once it is confirmed
+            self._last_proposal_key = (self.state.counter, self.pending[0][0])
             self._reset_election()
             self._progress(effects)
         return self._flush(effects)
@@ -228,7 +269,7 @@ class ServerCore:
             # and the batch matters only to a leader with no proposal
             # yet, which the propose below covers: rerun on the same
             # state (a client request, a duplicate delta) adds nothing.
-            batch = self._pending_batch() if self.pending else None
+            batch = self._batch() or None
             self._apply_local(self.protocol.upkeep(self.state, self.ctx, pending=batch))
             self._upkept = self.state
         while True:
@@ -240,22 +281,44 @@ class ServerCore:
                     self._append_decided(d.value, effects)
                 step = self.protocol.next_decision(self.state, self.ctx)
             else:
-                # Propose everything pending once per (epoch, head request).
-                if not self.pending:
+                if not (self.pending or self.forwarded):
                     return
-                key = (self.state.counter, self.pending[0][0])
+                leader = self._leader(self.state)
+                if not self.pending:
+                    # forwarded operations are proposed by the ballot owner only
+                    if leader != self.uid:
+                        return
+                elif leader in self._heard and self._heard[leader] >= self.state.counter - 1:
+                    # a peer leads, heard directly this epoch or the one before
+                    self._forward(leader, effects)
+                    return
+                # Propose everything held once per (epoch, head request).
+                key = (self.state.counter, self.pending[0][0] if self.pending else None)
                 if self._last_proposal_key == key:
                     return
                 self._last_proposal_key = key
                 if self.election_deadline is None:
                     self._reset_election()
-                step = self.protocol.propose(self.state, self._pending_batch(), self.ctx)
+                step = self.protocol.propose(self.state, self._batch(), self.ctx)
             if not self._apply_local(step):
                 return
 
-    def _pending_batch(self) -> tuple:
-        """Every pending operation, in arrival order."""
-        return tuple(op for _, op in self.pending)
+    def _forward(self, leader: str, effects: List) -> None:
+        """Hand every pending operation to ``leader``, once per (epoch,
+        head request, leader); the election timer still runs."""
+        key = (self.state.counter, self.pending[0][0], leader)
+        if self._last_forward_key == key:
+            return
+        self._last_forward_key = key
+        if self.election_deadline is None:
+            self._reset_election()
+        ops = tuple(op for _, op in self.pending)
+        effects.append(SendToPeer(leader, wire.forward_envelope(self.uid, len(self.log), ops)))
+
+    def _batch(self) -> tuple:
+        """Every pending operation in arrival order, then every
+        forwarded one."""
+        return tuple(op for _, op in self.pending) + tuple(self.forwarded)
 
     def _append_decided(self, batch, effects: List) -> None:
         self.log.append(batch)
@@ -273,3 +336,5 @@ class ServerCore:
                 effects.append(Respond(request_id, response))
                 self._last_proposal_key = None
                 self.election_deadline = None
+        if self.forwarded:
+            self.forwarded = [op for op in self.forwarded if op not in batch]

@@ -1,15 +1,18 @@
 """Wire format: newline-delimited JSON frames over TCP.
 
 Peer frames are envelopes ``{sender, kind, payload}`` where kind is
-DELTA, SYNC_REQUEST, or SYNC_RESPONSE. A DELTA payload is the canonical
-serialization of a non-empty tuple of deltas, one per epoch and in epoch
-order, which the receiver absorbs in that order (a full state is a delta
-too). The decided log holds one entry per decided epoch, a batch: the
-non-empty tuple of operations that epoch decided, in order. A sync
-request says how many decided epochs the requester holds, ``{have}``;
-the response carries the responder's state plus only the log suffix past
-that point, ``{state, from, log}``, where ``log`` holds the batches of
-epochs ``from`` onwards. Client frames are ``{op, key, value?}``
+DELTA, SYNC_REQUEST, SYNC_RESPONSE or FORWARD. A DELTA payload is the
+canonical serialization of a non-empty tuple of deltas, one per epoch
+and in epoch order, which the receiver absorbs in that order (a full
+state is a delta too). The decided log holds one entry per decided
+epoch, a batch: the non-empty tuple of operations that epoch decided, in
+order. A sync request says how many decided epochs the requester holds,
+``{have}``; the response carries the responder's state plus only the log
+suffix past that point, ``{state, from, log}``, where ``log`` holds the
+batches of epochs ``from`` onwards. A FORWARD hands a node's pending
+operations to its leader; its payload is one codec document, the
+encoded pair ``(have, batch)`` of the sender's log length and its
+operations in arrival order. Client frames are ``{op, key, value?}``
 requests with string keys and values, answered by ``{status, value?}``
 responses. Duplicated or reordered peer frames are harmless by
 construction: merging is idempotent and commutative, and a receiver
@@ -31,8 +34,9 @@ from .. import codec
 DELTA = "DELTA"
 SYNC_REQUEST = "SYNC_REQUEST"
 SYNC_RESPONSE = "SYNC_RESPONSE"
+FORWARD = "FORWARD"
 
-KINDS = (DELTA, SYNC_REQUEST, SYNC_RESPONSE)
+KINDS = (DELTA, SYNC_REQUEST, SYNC_RESPONSE, FORWARD)
 
 
 @dataclass(frozen=True)
@@ -101,6 +105,12 @@ def sync_response_envelope(sender: str, state, log, start: int) -> dict:
     }
 
 
+def forward_envelope(sender: str, have: int, batch) -> dict:
+    """Hand the operations ``batch`` to the leader, saying how many
+    decided epochs the sender holds."""
+    return {"sender": sender, "kind": FORWARD, "payload": codec.encode((have, tuple(batch)))}
+
+
 def _log_index(value) -> int:
     """A log position named by a peer: a non-negative int, not a bool."""
     if type(value) is not int or value < 0:
@@ -114,7 +124,8 @@ def parse_envelope(frame, log_length: int) -> tuple:
     The body of a DELTA is its tuple of states; of a SYNC_REQUEST, the
     requester's log length ``have``; of a SYNC_RESPONSE, ``(state,
     batches)`` where ``batches`` are the suffix entries past
-    ``log_length``, the number of epochs the receiver's log holds.
+    ``log_length``, the number of epochs the receiver's log holds; of a
+    FORWARD, ``(have, batch)``.
     """
     if not isinstance(frame, dict) or frame.get("kind") not in KINDS or "sender" not in frame:
         raise ValueError(f"malformed envelope: {frame!r}")
@@ -124,6 +135,14 @@ def parse_envelope(frame, log_length: int) -> tuple:
         if type(parts) is not tuple or not parts:
             raise ValueError("a delta payload is not a non-empty tuple")
         return sender, kind, parts
+    if kind == FORWARD:
+        body = codec.decode(payload)
+        if type(body) is not tuple or len(body) != 2:
+            raise ValueError("a forward payload is not a pair")
+        have, batch = body
+        if not is_batch(batch):
+            raise ValueError("a forward holds a non-batch")
+        return sender, kind, (_log_index(have), batch)
     if not isinstance(payload, dict):
         raise ValueError(f"malformed {kind} payload")
     if kind == SYNC_REQUEST:

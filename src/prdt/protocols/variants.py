@@ -139,6 +139,13 @@ class MultiPaxos(_CounterQualified):
         replica, in the current epoch."""
         return in_epoch(state.counter, phase1a(state.value, ctx))
 
+    def leader(self, state: Epoch) -> Optional[str]:
+        """The owner of the current epoch's highest ballot, or None when
+        the epoch has no round: the seed owner right after an advance,
+        the candidate during a duel."""
+        ballot = state.value.current_ballot()
+        return None if ballot is None else ballot.uid
+
     def check_state(self, state, is_value) -> None:
         """Raise ``ValueError`` unless ``state`` has the shape of a
         MultiPaxos state whose proposals vote values that pass

@@ -143,6 +143,19 @@ def test_multipaxos_other_replica_must_open_a_ballot():
     assert protocol.propose(seeded, "v2", R2).value.current_ballot() == BallotNum("r2", 1)
 
 
+def test_multipaxos_leader_owns_the_highest_ballot():
+    protocol = MultiPaxos(R123)
+    assert protocol.leader(protocol.bottom()) is None
+    # right after an advance the seed owner leads, before any quorum
+    # confirms it
+    advanced = protocol.next_decision(Epoch(0, decided_inner(leader="r2")), R3)
+    assert protocol.leader(advanced) == "r2"
+    # a restart makes the local replica the owner of the highest ballot
+    restarted = advanced.merge(protocol.restart(advanced, R1))
+    assert protocol.leader(restarted) == "r1"
+    assert leader_of(restarted.value, R123) is None
+
+
 def multipaxos_config(runs=1) -> sim.SimConfig:
     return sim.SimConfig(replica_count=3, steps_per_run=200, runs=runs,
                          value_pool=("val1", "val2"), rng_seed=13, stall_threshold=8)
