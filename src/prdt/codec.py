@@ -113,7 +113,8 @@ def record(type_, tag: str, *keys: str) -> None:
 
 def _encode_set(obj):
     encoded = [encode(e) for e in obj.elements]
-    encoded.sort(key=_dump)
+    if len(encoded) > 1:
+        encoded.sort(key=_dump)
     return {"t": "set", "v": encoded}
 
 

@@ -34,7 +34,14 @@ The deltas an event produces are joined per epoch and kept in epoch
 order, and leave as one DELTA envelope per peer. The receiver checks
 every part, then absorbs them in order, progressing after each, so a
 follower's acceptance in epoch c and its first act in epoch c+1 share a
-frame without the advance hiding the decision of c.
+frame without the advance hiding the decision of c. A core that advances
+as the owner of the new seed round with nothing pending or forwarded
+holds its own seed vote: no follower needs it (each casts its own, and
+the leader needs only one of theirs), so it is not sent while it is all
+that is queued. It leaves in the core's next DELTA, normally its
+proposal in that epoch, joined into the same part, or on the next tick;
+a reconnect's full-state push carries it too. Holding a delta is only
+delaying a message.
 
 Client operations queue in arrival order, and everything queued is
 proposed at once. Pending operations are re-proposed every epoch until
@@ -46,17 +53,24 @@ timer restarts the ballot when the head operation makes no progress.
 
 A core with pending operations whose leader (the owner of the current
 epoch's highest ballot) is another peer opens no ballot: it sends that
-peer one FORWARD of every pending operation, once per (epoch, head
-request, leader), and again when the leader reconnects. It does so only
-if it has heard that peer directly in its current epoch or the one
-before; a leader it cannot reach would swallow every forward, so then it
-proposes as before. The origin keeps its operations pending and answers
-its clients from its own log; if the leader is gone, the election timer
-restarts the ballot and the origin proposes them itself. The leader
-keeps forwarded operations after its own pending ones, drops one that
-equals an operation it already holds or that the log decided past the
-sender's length, and drops each as the log decides it. Only the owner
-of the current ballot proposes forwarded operations.
+peer one FORWARD of the pending operations it has not yet sent to that
+leader, so each operation goes once per leader, and again when the
+leader reconnects. It does so only if it has heard that peer directly
+in its current epoch or the one before; a leader it cannot reach would
+swallow every forward, so then it proposes as before. The origin keeps
+its operations pending and answers its clients from its own log; if the
+leader is gone, the election timer restarts the ballot and the origin
+proposes them itself. The leader keeps forwarded operations after its
+own pending ones, drops one that equals an operation it already holds
+or that the log decided past the sender's length, and drops each as the
+log decides it. Operations are told apart only by value, so two rules
+keep an operation dropped as an equal one from waiting for the timer: a
+forward from a sender whose log is longer than the leader's waits until
+the leader's log catches up (an operation the leader holds may be
+decided in an epoch it has not seen, and the sender's equal one is then
+new), and an origin sends again a pending operation that equals one a
+decided batch held but that the batch did not answer. Only the owner of
+the current ballot proposes forwarded operations.
 
 The core knows no protocol internals and no payload format: beside the
 consensus contract it calls the protocol's ``check_state`` on every peer
@@ -115,7 +129,10 @@ class ServerCore:
         self.election_timeout = election_timeout
         self.election_deadline: Optional[float] = None
         self._last_proposal_key = None
-        self._last_forward_key = None
+        # the leader the pending ops were forwarded to, and the request
+        # ids already sent to it
+        self._forward_leader = None
+        self._forwarded_ids: set = set()
         # each peer's last envelope: our epoch counter when it arrived
         self._heard: dict = {}
         self._upkept = None  # the state upkeep last ran on
@@ -124,6 +141,10 @@ class ServerCore:
         # the handler returns. Joining epochs would let the advance
         # discard the evidence that decided the earlier one.
         self._outgoing: List = []
+        # an idle leader's own seed vote while it is all that is queued
+        self._held = None
+        # forwards from peers whose log was longer than ours, as (have, batch)
+        self._early_forwards: List = []
         # peers with a sync request out and not yet answered
         self._asked: set = set()
 
@@ -160,15 +181,13 @@ class ServerCore:
                     wire.sync_response_envelope(self.uid, self.state, self.log, start),
                 ))
             elif kind == wire.FORWARD:
-                have, batch = body
-                # an op decided in an epoch the sender had not seen is
-                # not taken again, nor is one already held
-                held = set(self._batch())
-                held.update(op for decided in self.log[have:] for op in decided)
-                for op in batch:
-                    if op not in held:
-                        held.add(op)
-                        self.forwarded.append(op)
+                if body[0] > len(self.log):
+                    # the sender has seen epochs decided that we have
+                    # not, and an op we hold may be decided there: judge
+                    # the forward once our log has caught up
+                    self._early_forwards.append(body)
+                else:
+                    self._take_forward(*body)
                 self._progress(effects)
             else:
                 state, missing = body
@@ -194,7 +213,7 @@ class ServerCore:
         effects.append(SendToPeer(peer, wire.delta_envelope(self.uid, (self.state,))))
         # So may a forward to the leader: send it again.
         if peer == self._leader(self.state):
-            self._last_forward_key = None
+            self._forward_leader = None
             self._progress(effects)
         return self._flush(effects)
 
@@ -210,6 +229,8 @@ class ServerCore:
             self._last_proposal_key = (self.state.counter, self.pending[0][0])
             self._reset_election()
             self._progress(effects)
+        # a held seed vote waits for a proposal no longer than a tick
+        self._held = None
         return self._flush(effects)
 
     # -- internals ---------------------------------------------------
@@ -241,10 +262,13 @@ class ServerCore:
         return True
 
     def _flush(self, effects: List) -> List:
-        """Emit the event's deltas as one envelope per peer."""
-        if self._outgoing:
-            envelope = wire.delta_envelope(self.uid, self._outgoing)
+        """Emit the event's deltas as one envelope per peer, unless all
+        that is queued is a held seed vote."""
+        out = self._outgoing
+        if out and not (len(out) == 1 and out[0] is self._held):
+            envelope = wire.delta_envelope(self.uid, out)
             self._outgoing = []
+            self._held = None
             for peer in self.peers:
                 effects.append(SendToPeer(peer, envelope))
         return effects
@@ -280,6 +304,10 @@ class ServerCore:
                 if self.state.counter == len(self.log):
                     self._append_decided(d.value, effects)
                 step = self.protocol.next_decision(self.state, self.ctx)
+                # An idle owner of the new seed holds its own vote: each
+                # follower casts its own, and the leader needs only one.
+                if not (self.pending or self.forwarded) and self._leader(step) == self.uid:
+                    self._held = step
             else:
                 if not (self.pending or self.forwarded):
                     return
@@ -304,16 +332,31 @@ class ServerCore:
                 return
 
     def _forward(self, leader: str, effects: List) -> None:
-        """Hand every pending operation to ``leader``, once per (epoch,
-        head request, leader); the election timer still runs."""
-        key = (self.state.counter, self.pending[0][0], leader)
-        if self._last_forward_key == key:
-            return
-        self._last_forward_key = key
+        """Hand ``leader`` every pending operation not yet sent to it;
+        the election timer still runs."""
         if self.election_deadline is None:
             self._reset_election()
-        ops = tuple(op for _, op in self.pending)
-        effects.append(SendToPeer(leader, wire.forward_envelope(self.uid, len(self.log), ops)))
+        if leader != self._forward_leader:
+            self._forward_leader = leader
+            self._forwarded_ids = set()
+        sent = self._forwarded_ids
+        ops = []
+        for request_id, op in self.pending:
+            if request_id not in sent:
+                sent.add(request_id)
+                ops.append(op)
+        if ops:
+            effects.append(SendToPeer(leader, wire.forward_envelope(self.uid, len(self.log), tuple(ops))))
+
+    def _take_forward(self, have: int, batch) -> None:
+        """Keep each forwarded op unless it is held already or was
+        decided in an epoch the sender had not seen."""
+        held = set(self._batch())
+        held.update(op for decided in self.log[have:] for op in decided)
+        for op in batch:
+            if op not in held:
+                held.add(op)
+                self.forwarded.append(op)
 
     def _batch(self) -> tuple:
         """Every pending operation in arrival order, then every
@@ -338,3 +381,17 @@ class ServerCore:
                 self.election_deadline = None
         if self.forwarded:
             self.forwarded = [op for op in self.forwarded if op not in batch]
+        if self._forwarded_ids:
+            # Remember only pending ops. The leader drops a forwarded op
+            # equal to one this batch decided, so such an op that is
+            # still pending here goes again.
+            sent = self._forwarded_ids
+            self._forwarded_ids = {request_id for request_id, op in self.pending
+                                   if request_id in sent and op not in batch}
+        if self._early_forwards:
+            early, self._early_forwards = self._early_forwards, []
+            for have, ops in early:
+                if have > len(self.log):
+                    self._early_forwards.append((have, ops))
+                else:
+                    self._take_forward(have, ops)
