@@ -12,7 +12,7 @@ structured type is a dict tagged with ``"t"``. Bare JSON lists never
 appear at the top level of a value, only inside tagged dicts, so
 decoding dispatches on the tag alone. A record type is declared with
 ``record``, one key per field. The collections, and the scalar-only
-types that fill every log entry (ballots, operations), keep hand-written
+types that fill every log entry (ballots, entries), keep hand-written
 pairs through ``register``, which skip a generic ``encode`` per field.
 """
 

@@ -8,13 +8,13 @@ effects are immutable values and safe to serialize elsewhere.
 
 The consensus instance is one epoch of a stable-leader protocol per log
 entry, and the value an epoch decides is a batch: a non-empty tuple of
-operations. Every event that can change the state ends in one progress
+entries. Every event that can change the state ends in one progress
 loop (``_progress``): upkeep, unless it already ran on this very state,
 then act on the epoch's decision until it stops changing. Decided
 appends the batch to the local log *before* the advance discards the
 epoch. A replica whose epoch counter is ahead of its log length (the
 number of decided epochs) has a hole: it does not know what the hidden
-epochs decided, and they may have decided its pending operations. Its
+epochs decided, and they may have decided its pending entries. Its
 progress loop then takes no step (no upkeep, no proposal, no append)
 and only asks the peer it heard from for a sync, until a sync answer
 fills the log. A sync request carries the requester's log length; the
@@ -24,7 +24,7 @@ while the response was in flight. A core keeps at most one unanswered
 sync request per peer: a hole found while one is out asks nothing more,
 and the peer is asked again only after its response arrives, after it
 reconnects, or after a tick.
-Undecided proposes every pending operation, in arrival order, then every
+Undecided proposes every pending entry, in arrival order, then every
 forwarded one, as one batch, once per (epoch, head request); or forwards
 the pending ones to the leader (below).
 Invalid raises: the state can never be valid again, so the caller must
@@ -43,34 +43,32 @@ proposal in that epoch, joined into the same part, or on the next tick;
 a reconnect's full-state push carries it too. Holding a delta is only
 delaying a message.
 
-Client operations queue in arrival order, and everything queued is
-proposed at once. Pending operations are re-proposed every epoch until
+Client requests queue in arrival order, each as an entry: the node's id,
+a per-core request counter and the operation. Everything queued is
+proposed at once, and pending entries are re-proposed every epoch until
 the log accepts them. A decided batch is applied one operation at a
-time, and each one that equals the head of the queue answers that
-client. Reads are answered from the map the log applies to, so a read
+time, and each entry this core holds as pending answers the request it
+names. Reads are answered from the map the log applies to, so a read
 behind a write of its key in one batch sees that write. An election
-timer restarts the ballot when the head operation makes no progress.
+timer restarts the ballot when the head request makes no progress. The
+counter restarts with the process, like the rest of the core's state
+(ROADMAP item 2): an entry from before a restart then answers a new
+request only if origin, counter and operation all agree. Keeping the
+counter across a restart waits for item 2's checkpoint.
 
-A core with pending operations whose leader (the owner of the current
+A core with pending entries whose leader (the owner of the current
 epoch's highest ballot) is another peer opens no ballot: it sends that
-peer one FORWARD of the pending operations it has not yet sent to that
-leader, so each operation goes once per leader, and again when the
-leader reconnects. It does so only if it has heard that peer directly
-in its current epoch or the one before; a leader it cannot reach would
-swallow every forward, so then it proposes as before. The origin keeps
-its operations pending and answers its clients from its own log; if the
-leader is gone, the election timer restarts the ballot and the origin
-proposes them itself. The leader keeps forwarded operations after its
-own pending ones, drops one that equals an operation it already holds
-or that the log decided past the sender's length, and drops each as the
-log decides it. Operations are told apart only by value, so two rules
-keep an operation dropped as an equal one from waiting for the timer: a
-forward from a sender whose log is longer than the leader's waits until
-the leader's log catches up (an operation the leader holds may be
-decided in an epoch it has not seen, and the sender's equal one is then
-new), and an origin sends again a pending operation that equals one a
-decided batch held but that the batch did not answer. Only the owner of
-the current ballot proposes forwarded operations.
+peer one FORWARD of the pending entries it has not yet sent to that
+leader, so each entry goes once per leader, and again when the leader
+reconnects. It does so only if it has heard that peer directly in its
+current epoch or the one before; a leader it cannot reach would swallow
+every forward, so then it proposes as before. The origin keeps its
+entries pending and answers its clients from its own log; if the leader
+is gone, the election timer restarts the ballot and the origin proposes
+them itself. The leader keeps forwarded entries after its own pending
+ones, drops one it already holds or that the log decided past the
+sender's length, and drops each as the log decides it. Only the owner
+of the current ballot proposes forwarded entries.
 
 The core knows no protocol internals and no payload format: beside the
 consensus contract it calls the protocol's ``check_state`` on every peer
@@ -82,7 +80,6 @@ frame is dropped and never stops a node.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Any, List, Optional
 
@@ -118,19 +115,19 @@ class ServerCore:
         self.state = self.protocol.bottom()
         # one decided batch per epoch, the log that sync ships
         self.log: List = []
-        # the operations of ``log`` in decided order
-        self.decided_ops: List = []
         # the map the decided log applies to; reads are answered from it
         self.values: dict = {}
-        self.pending = deque()
-        # operations other nodes handed to this one, in arrival order
+        # entry -> request id, in arrival order
+        self.pending: dict = {}
+        self._seq = 0  # client requests taken
+        # entries other nodes handed to this one, in arrival order
         self.forwarded: List = []
         self.now = 0.0
         self.election_timeout = election_timeout
         self.election_deadline: Optional[float] = None
         self._last_proposal_key = None
-        # the leader the pending ops were forwarded to, and the request
-        # ids already sent to it
+        # the leader the pending entries were forwarded to, and the
+        # entries already sent to it
         self._forward_leader = None
         self._forwarded_ids: set = set()
         # each peer's last envelope: our epoch counter when it arrived
@@ -143,10 +140,13 @@ class ServerCore:
         self._outgoing: List = []
         # an idle leader's own seed vote while it is all that is queued
         self._held = None
-        # forwards from peers whose log was longer than ours, as (have, batch)
-        self._early_forwards: List = []
         # peers with a sync request out and not yet answered
         self._asked: set = set()
+
+    @property
+    def decided_ops(self) -> List:
+        """The operations of ``log`` in decided order."""
+        return [entry.op for batch in self.log for entry in batch]
 
     # -- events ------------------------------------------------------
 
@@ -157,7 +157,8 @@ class ServerCore:
         except ValueError:
             effects.append(Respond(request_id, wire.error_response("bad request")))
             return effects
-        self.pending.append((request_id, op))
+        self._seq += 1
+        self.pending[wire.Entry(self.uid, self._seq, op)] = request_id
         self._progress(effects)
         return self._flush(effects)
 
@@ -181,13 +182,7 @@ class ServerCore:
                     wire.sync_response_envelope(self.uid, self.state, self.log, start),
                 ))
             elif kind == wire.FORWARD:
-                if body[0] > len(self.log):
-                    # the sender has seen epochs decided that we have
-                    # not, and an op we hold may be decided there: judge
-                    # the forward once our log has caught up
-                    self._early_forwards.append(body)
-                else:
-                    self._take_forward(*body)
+                self._take_forward(*body)
                 self._progress(effects)
             else:
                 state, missing = body
@@ -226,7 +221,7 @@ class ServerCore:
             self._apply_local(self._restart(self.state, self.ctx))
             # the fresh ballot is this epoch's proposal of the head, also
             # after a forward: upkeep votes the batch once it is confirmed
-            self._last_proposal_key = (self.state.counter, self.pending[0][0])
+            self._last_proposal_key = (self.state.counter, next(iter(self.pending)))
             self._reset_election()
             self._progress(effects)
         # a held seed vote waits for a proposal no longer than a tick
@@ -313,7 +308,7 @@ class ServerCore:
                     return
                 leader = self._leader(self.state)
                 if not self.pending:
-                    # forwarded operations are proposed by the ballot owner only
+                    # forwarded entries are proposed by the ballot owner only
                     if leader != self.uid:
                         return
                 elif leader in self._heard and self._heard[leader] >= self.state.counter - 1:
@@ -321,7 +316,7 @@ class ServerCore:
                     self._forward(leader, effects)
                     return
                 # Propose everything held once per (epoch, head request).
-                key = (self.state.counter, self.pending[0][0] if self.pending else None)
+                key = (self.state.counter, next(iter(self.pending), None))
                 if self._last_proposal_key == key:
                     return
                 self._last_proposal_key = key
@@ -332,41 +327,33 @@ class ServerCore:
                 return
 
     def _forward(self, leader: str, effects: List) -> None:
-        """Hand ``leader`` every pending operation not yet sent to it;
-        the election timer still runs."""
+        """Hand ``leader`` every pending entry not yet sent to it; the
+        election timer still runs."""
         if self.election_deadline is None:
             self._reset_election()
         if leader != self._forward_leader:
             self._forward_leader = leader
             self._forwarded_ids = set()
         sent = self._forwarded_ids
-        ops = []
-        for request_id, op in self.pending:
-            if request_id not in sent:
-                sent.add(request_id)
-                ops.append(op)
-        if ops:
-            effects.append(SendToPeer(leader, wire.forward_envelope(self.uid, len(self.log), tuple(ops))))
+        entries = tuple(entry for entry in self.pending if entry not in sent)
+        if entries:
+            sent.update(entries)
+            effects.append(SendToPeer(leader, wire.forward_envelope(self.uid, len(self.log), entries)))
 
     def _take_forward(self, have: int, batch) -> None:
-        """Keep each forwarded op unless it is held already or was
+        """Keep each forwarded entry unless it is held already or was
         decided in an epoch the sender had not seen."""
-        held = set(self._batch())
-        held.update(op for decided in self.log[have:] for op in decided)
-        for op in batch:
-            if op not in held:
-                held.add(op)
-                self.forwarded.append(op)
+        held = set(self.forwarded).union(*self.log[have:])
+        self.forwarded += [entry for entry in dict.fromkeys(batch) if entry not in held]
 
     def _batch(self) -> tuple:
-        """Every pending operation in arrival order, then every
-        forwarded one."""
-        return tuple(op for _, op in self.pending) + tuple(self.forwarded)
+        """Every pending entry in arrival order, then every forwarded one."""
+        return tuple(self.pending) + tuple(self.forwarded)
 
     def _append_decided(self, batch, effects: List) -> None:
         self.log.append(batch)
-        self.decided_ops.extend(batch)
-        for op in batch:
+        for entry in batch:
+            op = entry.op
             if isinstance(op, Write):
                 self.values[op.key] = op.value
                 response = wire.ok_response()
@@ -374,24 +361,12 @@ class ServerCore:
                 response = wire.ok_response(self.values[op.key])
             else:
                 response = wire.not_found_response()
-            if self.pending and self.pending[0][1] == op:
-                request_id, _ = self.pending.popleft()
-                effects.append(Respond(request_id, response))
+            if entry in self.pending:
+                effects.append(Respond(self.pending.pop(entry), response))
                 self._last_proposal_key = None
                 self.election_deadline = None
         if self.forwarded:
-            self.forwarded = [op for op in self.forwarded if op not in batch]
-        if self._forwarded_ids:
-            # Remember only pending ops. The leader drops a forwarded op
-            # equal to one this batch decided, so such an op that is
-            # still pending here goes again.
-            sent = self._forwarded_ids
-            self._forwarded_ids = {request_id for request_id, op in self.pending
-                                   if request_id in sent and op not in batch}
-        if self._early_forwards:
-            early, self._early_forwards = self._early_forwards, []
-            for have, ops in early:
-                if have > len(self.log):
-                    self._early_forwards.append((have, ops))
-                else:
-                    self._take_forward(have, ops)
+            decided = set(batch)
+            self.forwarded = [entry for entry in self.forwarded if entry not in decided]
+        # remember only entries still pending
+        self._forwarded_ids.intersection_update(self.pending)

@@ -11,7 +11,7 @@ from hypothesis import example, given, strategies as st
 from conftest import NESTED_TUPS, MEMBERS_OF_A_STRING, UNORDERED_ROUND_KEYS
 from prdt import codec
 from prdt.kernel import Decided, INVALID, UNDECIDED
-from prdt.kv.wire import Read, Write
+from prdt.kv.wire import Entry, Read, Write
 from prdt.lattice import Epoch, GrowSet, MergeList, MergeMap
 from prdt.protocols.paxos import BallotNum, PaxosRound, PaxosState
 from prdt.protocols.variants import ConfigRound, GenOp
@@ -43,6 +43,8 @@ SAMPLES = [
     INVALID,
     Write("k", "v"),
     Read("k"),
+    Entry("n1", 1, Write("k", "v")),
+    Entry("n2", 7, Read("k")),
 ]
 
 
@@ -123,13 +125,14 @@ def test_canonical_form_of_a_store_state_is_pinned():
     state = Epoch(1, PaxosState(MergeMap((
         (BallotNum("n1", 1), PaxosRound(
             VotingState.of(("n1", "n1")),
-            VotingState.of(("n1", Write("k", "v"))),
+            VotingState.of(("n1", (Entry("n1", 1, Write("k", "v")),))),
         )),
     ))))
     assert codec.canon(state) == (
         '{"n":1,"t":"epoch","v":{"rounds":{"t":"map","v":[[{"n":1,"t":"ballot","uid":"n1"},'
         '{"le":{"t":"voting","v":{"t":"set","v":[{"p":"n1","t":"vote","v":"n1"}]}},'
-        '"prop":{"t":"voting","v":{"t":"set","v":[{"p":"n1","t":"vote","v":{"k":"k","t":"put","v":"v"}}]}},'
+        '"prop":{"t":"voting","v":{"t":"set","v":[{"p":"n1","t":"vote","v":{"t":"tup","v":['
+        '{"k":"k","o":"n1","s":1,"t":"p","v":"v"}]}}]}},'
         '"t":"round"}]]},"t":"paxos"}}'
     )
 

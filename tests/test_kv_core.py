@@ -13,7 +13,7 @@ from prdt import codec
 from prdt.kernel import Consensus
 from prdt.kv import wire
 from prdt.kv.core import Respond, SendToPeer, ServerCore
-from prdt.kv.wire import Read, Write
+from prdt.kv.wire import Entry, Read, Write
 from prdt.lattice import Epoch, MergeMap
 from prdt.protocols.paxos import BallotNum, PaxosRound, PaxosState
 from prdt.protocols.voting import VotingState
@@ -44,6 +44,8 @@ NON_OP_SYNC_LOG = {
     "payload": {"state": BOTTOM_STATE, "from": 0, "log": [{"t": "set", "v": []}]},
 }
 PUT_DOC = {"t": "put", "k": "k", "v": "v"}
+# n2's first request, a put of k=v, as a batch holds it
+ENTRY_DOC = {"t": "p", "o": "n2", "s": 1, "k": "k", "v": "v"}
 EPOCH_1_STATE = {"t": "epoch", "n": 1, "v": {"t": "paxos", "rounds": {"t": "map", "v": []}}}
 # a DELTA payload is a non-empty tuple of states: a bare state, an empty
 # tuple and a list are dropped, though the bare state would merge
@@ -78,11 +80,16 @@ def proposal_of(value_doc) -> dict:
         {"t": "epoch", "n": 0, "v": {"t": "paxos", "rounds": {"t": "map", "v": [[BALLOT_N2_1, round_]]}}})}
 
 
-# an epoch decides a batch, a non-empty tuple of operations: a bare op
-# (the form before batches), an empty tuple and a tuple holding a non-op
-# are dropped, as is a sync log entry that is a bare op
+# an epoch decides a batch, a non-empty tuple of entries: a bare op
+# (the form before batches), an empty tuple, a tuple holding a non-entry,
+# a bare op in a tuple (the form before entries), an entry with a bool
+# seq or a non-string origin, and a put entry with no value are dropped,
+# as is a sync log entry that is a bare op
+NOT_AN_ENTRY = [PUT_DOC, dict(ENTRY_DOC, s=True), dict(ENTRY_DOC, o=2),
+                {k: v for k, v in ENTRY_DOC.items() if k != "v"}]
 NOT_A_BATCH = [proposal_of(doc) for doc in (
-    PUT_DOC, {"t": "tup", "v": []}, {"t": "tup", "v": [PUT_DOC, {"t": "set", "v": []}]})] + [
+    PUT_DOC, {"t": "tup", "v": []}, {"t": "tup", "v": [ENTRY_DOC, {"t": "set", "v": []}]},
+    *({"t": "tup", "v": [doc]} for doc in NOT_AN_ENTRY))] + [
     {"kind": "SYNC_RESPONSE", "sender": "n2",
      "payload": {"state": BOTTOM_STATE, "from": 0, "log": [PUT_DOC]}}]
 
@@ -184,7 +191,7 @@ def test_malformed_frames_are_dropped():
         assert core.state == core.protocol.bottom()
         assert core.decided_ops == []
     # the same proposal voting a batch is taken
-    core.on_envelope(proposal_of({"t": "tup", "v": [PUT_DOC]}))
+    core.on_envelope(proposal_of({"t": "tup", "v": [ENTRY_DOC]}))
     assert core.state != core.protocol.bottom()
     for frame in (STRING_ROUND_KEY, REPEATED_ROUND_KEY):
         net = MemoryNet()
@@ -216,7 +223,8 @@ def test_requests_queued_on_one_node_are_decided_as_batches(memory_net):
     assert n1.decided_ops == [wire.parse_request(f) for f in frames]
     assert len(n1.log) < len(frames)
     # a write and a later read of its key shared one batch
-    assert any(Write("k", "1") in batch and Read("k") in batch for batch in n1.log)
+    ops = [[entry.op for entry in batch] for batch in n1.log]
+    assert any(Write("k", "1") in batch and Read("k") in batch for batch in ops)
     # n3 misses the next batches and catches up by epochs, not by ops
     memory_net.blocked = {("n3", "n1"), ("n1", "n3"), ("n3", "n2"), ("n2", "n3")}
     queue(len(frames), frames[:4])
@@ -328,12 +336,13 @@ def test_a_leader_with_a_hole_leaves_its_head_unproposed():
     assert voters(core.state) == {"n2", "n3"}
     # once a sync answer fills the hole, n1 takes its first step in epoch
     # 1: it confirms n2, opens no ballot of its own, and hands its put to n2
-    effects = core.on_envelope(roundtrip(wire.sync_response_envelope("n2", core.state, [(Write("a", "b"),)], 0)))
+    effects = core.on_envelope(roundtrip(wire.sync_response_envelope(
+        "n2", core.state, [(Entry("n2", 1, Write("a", "b")),)], 0)))
     assert core.decided_ops == [Write("a", "b")]
     sent = [(e.peer, e.envelope) for e in effects if isinstance(e, SendToPeer)]
     forwards = [(peer, env) for peer, env in sent if env["kind"] == wire.FORWARD]
     assert [(peer, wire.parse_envelope(env, 1)[2]) for peer, env in forwards] == [
-        ("n2", (1, (Write("k", "v"),)))]
+        ("n2", (1, (Entry("n1", 1, Write("k", "v")),)))]
     deltas = [env for _, env in sent if env["kind"] == wire.DELTA]
     assert len({json.dumps(env, sort_keys=True) for env in deltas}) == 1
     [part] = codec.decode(deltas[0]["payload"])
@@ -353,7 +362,7 @@ def test_a_core_with_a_hole_does_not_vote_a_put_an_earlier_epoch_decided():
     answers += core.on_envelope(roundtrip(wire.delta_envelope("n2", (seed,))))
     # the log n2's sync answer brings shows epoch 0 decided the put
     answers += core.on_envelope(roundtrip(
-        wire.sync_response_envelope("n2", seed, [(Write("k", "v"),)], 0)))
+        wire.sync_response_envelope("n2", seed, [(Entry("n1", 1, Write("k", "v")),)], 0)))
     assert core.decided_ops == [Write("k", "v")]
     assert [e.request_id for e in answers if isinstance(e, Respond)] == [("n1", 0)]
     assert core.state.counter == 1
@@ -393,17 +402,20 @@ def test_a_follower_forwards_its_put_to_the_leader(memory_net):
 
 def test_a_forwarded_op_an_unseen_epoch_decided_is_not_taken():
     net = MemoryNet()
-    assert net.put("n1", "k", "v") == {"status": "ok"}
+    assert net.put("n1", "a", "1") == {"status": "ok"}
+    assert net.put("n2", "k", "v") == {"status": "ok"}
     leader = net.cores["n1"]
-    # n2 forwarded the put before it saw epoch 0 decide it
-    late = roundtrip(wire.forward_envelope("n2", 0, (Write("k", "v"),)))
+    assert leader.log[1] == (Entry("n2", 1, Write("k", "v")),)
+    # n2 forwarded the put again before it saw epoch 1 decide it
+    late = roundtrip(wire.forward_envelope("n2", 1, leader.log[1]))
     assert leader.on_envelope(late) == []
     assert leader.forwarded == []
     assert net.put("n1", "j", "w") == {"status": "ok"}
-    assert leader.decided_ops == [Write("k", "v"), Write("j", "w")]
+    assert leader.decided_ops == [Write("a", "1"), Write("k", "v"), Write("j", "w")]
     # a forwarded op no epoch decided is taken and proposed
-    effects = leader.on_envelope(roundtrip(wire.forward_envelope("n2", 2, (Write("f", "x"),))))
-    assert leader.forwarded == [Write("f", "x")]
+    fresh = (Entry("n2", 2, Write("f", "x")),)
+    effects = leader.on_envelope(roundtrip(wire.forward_envelope("n2", 3, fresh)))
+    assert leader.forwarded == list(fresh)
     net._pump("n1", effects)
     assert leader.forwarded == []
     assert leader.decided_ops[-1] == Write("f", "x")
@@ -456,21 +468,21 @@ def test_an_op_that_missed_the_leaders_batch_is_forwarded_once_per_leader(memory
     lead = n1.on_client_request(("n1", "b"), {"op": "put", "key": "b", "value": "2"})
     net._pump("n2", n2.on_client_request(("n2", "k"), {"op": "put", "key": "k", "value": "v"}))
     # n1 takes the op, but its batch for epoch 1 left before it came
-    assert n1.forwarded == [Write("k", "v")]
+    assert n1.forwarded == [Entry("n2", 1, Write("k", "v"))]
     net._pump("n1", lead)
     assert net.responses.pop(("n1", "b")) == net.responses.pop(("n2", "k")) == {"status": "ok"}
-    assert n1.log[1:] == [(Write("b", "2"),), (Write("k", "v"),)]
+    assert n1.log[1:] == [(Entry("n1", 2, Write("b", "2")),), (Entry("n2", 1, Write("k", "v")),)]
     # n2 reached epoch 2 with the op pending and did not send it again
     assert [frame for frame in seen if frame[2] == wire.FORWARD] == [("n2", "n1", wire.FORWARD)]
     assert not n2._forwarded_ids  # it remembers only pending ops
     # an op n1 holds but cannot get decided is sent again once n1 reconnects
     net.blocked = {("n1", "n2"), ("n1", "n3")}
     net._pump("n2", n2.on_client_request(("n2", "j"), {"op": "put", "key": "j", "value": "w"}))
-    assert n1.forwarded == [Write("j", "w")] and ("n2", "j") not in net.responses
+    assert n1.forwarded == [Entry("n2", 2, Write("j", "w"))] and ("n2", "j") not in net.responses
     net.blocked.clear()
     forwards = [e for e in n2.on_peer_connected("n1") if e.envelope["kind"] == wire.FORWARD]
     assert [(e.peer, wire.parse_envelope(roundtrip(e.envelope), len(n1.log))[2]) for e in forwards] == [
-        ("n1", (len(n2.log), (Write("j", "w"),)))]
+        ("n1", (len(n2.log), (Entry("n2", 2, Write("j", "w")),)))]
 
 
 def test_an_op_forwarded_before_its_head_was_answered_keeps_the_election_timer_running(memory_net):
@@ -491,7 +503,7 @@ def test_an_op_forwarded_before_its_head_was_answered_keeps_the_election_timer_r
     assert net.responses.pop(("n2", "j")) == {"status": "ok"}
 
 
-def test_a_forward_from_a_peer_ahead_of_the_leader_waits_for_the_leaders_log(memory_net):
+def test_a_forward_from_a_peer_ahead_of_the_leader_is_taken_at_once(memory_net):
     net = memory_net
     assert net.put("n1", "a", "1") == {"status": "ok"}
     n1, n2 = net.cores["n1"], net.cores["n2"]
@@ -500,29 +512,58 @@ def test_a_forward_from_a_peer_ahead_of_the_leader_waits_for_the_leaders_log(mem
     (to_n2,) = [e for e in lead if e.peer == "n2"]
     accepted = n2.on_envelope(roundtrip(to_n2.envelope))
     assert len(n2.log) == 2 and len(n1.log) == 1
-    # an equal get on n2 is a new op, though n1 still holds its own as pending
+    # an equal get on n2 is another request, though n1 still holds its own
     net._pump("n2", n2.on_client_request(("n2", "k"), {"op": "get", "key": "k"}))
-    assert n1.forwarded == []
+    assert n1.forwarded == [Entry("n2", 1, Read("k"))]
     net._pump("n2", accepted)
     net._pump("n1", [e for e in lead if e.peer != "n2"])
     assert net.responses.pop(("n1", "k")) == net.responses.pop(("n2", "k")) == {"status": "not_found"}
-    assert n1.log[1:] == [(Read("k"),), (Read("k"),)]
+    assert n1.log[1:] == [(Entry("n1", 2, Read("k")),), (Entry("n2", 1, Read("k")),)]
 
 
-def test_an_op_left_pending_by_an_equal_decided_op_is_forwarded_again(memory_net):
+def test_a_forwarded_op_equal_to_one_the_leader_holds_is_taken(memory_net):
     net = memory_net
     assert net.put("n1", "a", "1") == {"status": "ok"}
     n1, n2 = net.cores["n1"], net.cores["n2"]
     lead = n1.on_client_request(("n1", "k"), {"op": "get", "key": "k"})
     net._pump("n2", n2.on_client_request(("n2", "b"), {"op": "put", "key": "b", "value": "2"}))
-    # n1 drops n2's get as equal to its own, which it has proposed already
+    # n2's get equals n1's, which n1 has proposed already
     net._pump("n2", n2.on_client_request(("n2", "k"), {"op": "get", "key": "k"}))
-    assert n1.forwarded == [Write("b", "2")]
-    # epoch 1 decides n1's get, which cannot answer n2's: its put is ahead
+    assert n1.forwarded == [Entry("n2", 1, Write("b", "2")), Entry("n2", 2, Read("k"))]
+    # epoch 1 decides n1's get, which does not answer n2's
     net._pump("n1", lead)
     assert net.responses.pop(("n1", "k")) == {"status": "not_found"}
     assert net.responses.pop(("n2", "b")) == {"status": "ok"}
     assert net.responses.pop(("n2", "k")) == {"status": "not_found"}
+    assert n1.log[1:] == [(Entry("n1", 2, Read("k")),),
+                          (Entry("n2", 1, Write("b", "2")), Entry("n2", 2, Read("k")))]
+
+
+def test_a_read_is_answered_by_its_own_entry_not_an_equal_one():
+    net = MemoryNet(blocked={(a, b) for a in ("n1", "n2", "n3") for b in ("n1", "n2", "n3")
+                             if a != b and "n3" in (a, b)})
+    assert net.put("n1", "k", "old") == {"status": "ok"}
+    assert net.get("n2", "k") == {"status": "ok", "value": "old"}
+    assert net.put("n1", "k", "new") == {"status": "ok"}
+    net.blocked.clear()
+    # the sync brings n2's get, equal to n3's own but not it
+    net._pump("n3", net.cores["n3"].on_client_request(("n3", "k"), {"op": "get", "key": "k"}))
+    net.connect_all()
+    assert net.responses.pop(("n3", "k")) == {"status": "ok", "value": "new"}
+    assert net.cores["n3"].log[-1] == (Entry("n3", 1, Read("k")),)
+
+
+def test_equal_puts_on_two_nodes_are_each_answered_by_their_own_entry(memory_net):
+    net = memory_net
+    assert net.put("n1", "a", "1") == {"status": "ok"}
+    n1, n2 = net.cores["n1"], net.cores["n2"]
+    before = len(n1.log)
+    lead = n1.on_client_request(("n1", "k"), {"op": "put", "key": "k", "value": "v"})
+    net._pump("n2", n2.on_client_request(("n2", "k"), {"op": "put", "key": "k", "value": "v"}))
+    net._pump("n1", lead)
+    assert net.responses.pop(("n1", "k")) == net.responses.pop(("n2", "k")) == {"status": "ok"}
+    assert len(n1.log) == before + 2
+    assert n1.log[before:] == [(Entry("n1", 2, Write("k", "v")),), (Entry("n2", 1, Write("k", "v")),)]
 
 
 def seed_voters(core, leader: str = "n1") -> set:
@@ -572,11 +613,13 @@ def forward_frame(payload) -> dict:
     return {"kind": wire.FORWARD, "sender": "n2", "payload": payload}
 
 
-BATCH = (Write("k", "v"),)
-# a bool or negative ``have``, a non-batch, a non-tuple and a 3-tuple
+BATCH = (Entry("n2", 1, Write("k", "v")),)
+# a bool or negative ``have``, a non-batch, a non-tuple, a 3-tuple, and
+# each malformed entry a DELTA may not hold either
 MALFORMED_FORWARDS = [forward_frame(codec.encode(body)) for body in (
     (True, BATCH), (-1, BATCH), (0, Write("k", "v")), (0, ()), Write("k", "v"), (0, BATCH, 0))] + [
-    forward_frame(None), forward_frame([0, [PUT_DOC]])]
+    forward_frame(None), forward_frame([0, [PUT_DOC]])] + [
+    forward_frame({"t": "tup", "v": [0, {"t": "tup", "v": [doc]}]}) for doc in NOT_AN_ENTRY]
 
 
 def test_malformed_forwards_are_dropped():

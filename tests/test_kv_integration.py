@@ -22,7 +22,7 @@ from prdt.kv import cluster, wire
 from prdt.kv.client import KvClient, main as client_main
 from prdt.kv.cluster import PORTS, free_ports, kv_cluster, wait_listening
 from prdt.kv.server import MAX_BUFFER, main as server_main, parse_hostport, parse_peers
-from prdt.kv.wire import Write
+from prdt.kv.wire import Entry, Write
 from prdt.lattice import Epoch, MergeMap
 from prdt.protocols.paxos import BallotNum, PaxosRound, PaxosState
 from prdt.protocols.voting import VotingState
@@ -215,7 +215,8 @@ def test_a_node_whose_state_turns_invalid_fails_stop():
     try:
         wait_listening("n1", proc, "127.0.0.1", port)
         # n2 votes for two different proposals in one round
-        proposals = VotingState.of(("n2", (Write("k", "a"),)), ("n2", (Write("k", "b"),)))
+        proposals = VotingState.of(("n2", (Entry("n2", 1, Write("k", "a")),)),
+                                   ("n2", (Entry("n2", 1, Write("k", "b")),)))
         round_ = PaxosRound(leader_election=VotingState.of(("n2", "n2")), proposals=proposals)
         delta = Epoch(0, PaxosState(MergeMap({BallotNum("n2", 1): round_})))
         with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
