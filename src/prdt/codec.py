@@ -14,12 +14,22 @@ decoding dispatches on the tag alone. A record type is declared with
 ``record``, one key per field. The collections, and the scalar-only
 types that fill every log entry (ballots, entries), keep hand-written
 pairs through ``register``, which skip a generic ``encode`` per field.
+
+Decoding is one flat pass. ``decode`` is the only error boundary: the
+decoders under it dispatch on the exact type of each document (a dict
+by its tag, the four scalars as themselves, anything else refused) and
+let a missing key, a wrong type or nesting past the recursion limit
+raise as it comes, and ``decode`` turns each into ``ValueError``. A map
+document whose keys already increase, as every encoded map's do, is
+checked once and never sorted; only keys out of order are sorted and
+checked again.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+from operator import itemgetter
 
 from .lattice import Epoch, GrowSet, MergeList, MergeMap
 
@@ -27,9 +37,9 @@ from .lattice import Epoch, GrowSet, MergeList, MergeMap
 def encode(obj):
     """Render a lattice/domain value as a JSON-compatible document."""
     # dispatch on exact type: all encodable structures are final classes
-    codec = _CODECS_BY_TYPE.get(type(obj))
-    if codec is not None:
-        return codec.enc(obj)
+    enc = _ENCODERS.get(type(obj))
+    if enc is not None:
+        return enc(obj)
     if obj is None or isinstance(obj, (str, bool, int)):
         return obj
     raise TypeError(f"no canonical encoding for {type(obj).__name__}")
@@ -39,17 +49,10 @@ def decode(doc):
     """Inverse of encode. Any JSON value that is not an encoding (a
     missing key, a wrong type, map keys that do not compare, nesting
     past the recursion limit) raises ``ValueError`` and nothing else."""
-    if isinstance(doc, dict):
-        try:
-            codec = _CODECS_BY_TAG.get(doc.get("t"))
-            if codec is None:
-                raise ValueError(f"unknown tag {doc.get('t')!r}")
-            return codec.dec(doc)
-        except (KeyError, TypeError, RecursionError) as exc:
-            raise ValueError(f"malformed document: {exc!r}") from None
-    if doc is None or isinstance(doc, (str, bool, int)):
-        return doc
-    raise ValueError(f"cannot decode {type(doc).__name__}")
+    try:
+        return _dec(doc)
+    except (KeyError, TypeError, RecursionError) as exc:
+        raise ValueError(f"malformed document: {exc!r}") from None
 
 
 def canon(obj) -> str:
@@ -61,20 +64,24 @@ def loads(text: str):
     return decode(json.loads(text))
 
 
-def _dump(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+# built once (``json.dumps`` with options builds an encoder per call);
+# documents are trees, so the encoder skips its cycle check
+_dump = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
+
+_ENCODERS: dict = {}  # type -> enc
+_DECODERS: dict = {}  # tag -> dec
+_SCALARS = frozenset((str, int, bool, type(None)))
 
 
-class _Codec:
-    __slots__ = ("enc", "dec")
-
-    def __init__(self, enc, dec):
-        self.enc = enc
-        self.dec = dec
-
-
-_CODECS_BY_TYPE: dict = {}
-_CODECS_BY_TAG: dict = {}
+def _dec(doc):
+    """``decode`` without its error boundary."""
+    kind = type(doc)
+    if kind is dict:
+        # a missing or unknown tag is a KeyError, which decode reports
+        return _DECODERS[doc["t"]](doc)
+    if kind in _SCALARS:
+        return doc
+    raise ValueError(f"cannot decode {kind.__name__}")
 
 
 def register(type_, tag: str, enc, dec) -> None:
@@ -84,11 +91,10 @@ def register(type_, tag: str, enc, dec) -> None:
     inverts it. Registration happens at import time of the defining
     module; tags must be unique.
     """
-    if tag in _CODECS_BY_TAG:
+    if tag in _DECODERS:
         raise ValueError(f"tag {tag!r} already registered")
-    codec = _Codec(enc, dec)
-    _CODECS_BY_TYPE[type_] = codec
-    _CODECS_BY_TAG[tag] = codec
+    _ENCODERS[type_] = enc
+    _DECODERS[tag] = dec
 
 
 def record(type_, tag: str, *keys: str) -> None:
@@ -105,8 +111,20 @@ def record(type_, tag: str, *keys: str) -> None:
             doc[key] = encode(getattr(obj, name))
         return doc
 
-    def dec(doc):
-        return type_(*[decode(doc[key]) for key in keys])
+    # most records have one or two fields: call _dec directly for those
+    if len(keys) == 1:
+        (key,) = keys
+
+        def dec(doc):
+            return type_(_dec(doc[key]))
+    elif len(keys) == 2:
+        first, second = keys
+
+        def dec(doc):
+            return type_(_dec(doc[first]), _dec(doc[second]))
+    else:
+        def dec(doc):
+            return type_(*[_dec(doc[key]) for key in keys])
 
     register(type_, tag, enc, dec)
 
@@ -118,26 +136,33 @@ def _encode_set(obj):
     return {"t": "set", "v": encoded}
 
 
+def _keys_increase(entries) -> bool:
+    for i in range(1, len(entries)):
+        if not entries[i - 1][0] < entries[i][0]:
+            return False
+    return True
+
+
 def _decode_map(doc):
-    decoded = MergeMap(tuple((decode(k), decode(v)) for k, v in doc["v"]))
-    # a repeated key would break the strictly sorted keys MergeMap's
-    # merge walk relies on
-    keys = [k for k, _ in decoded.entries]
-    if not all(a < b for a, b in zip(keys, keys[1:])):
-        raise ValueError("map document repeats a key")
-    return decoded
+    entries = [(_dec(k), _dec(v)) for k, v in doc["v"]]
+    # MergeMap's merge walk relies on strictly sorted keys
+    if not _keys_increase(entries):
+        entries.sort(key=itemgetter(0))
+        if not _keys_increase(entries):
+            raise ValueError("map document repeats a key")
+    return MergeMap._of_sorted(tuple(entries))
 
 
 register(tuple, "tup",
          lambda obj: {"t": "tup", "v": [encode(x) for x in obj]},
-         lambda doc: tuple(decode(x) for x in doc["v"]))
+         lambda doc: tuple([_dec(x) for x in doc["v"]]))
 register(GrowSet, "set",
          _encode_set,
-         lambda doc: GrowSet(frozenset(decode(x) for x in doc["v"])))
+         lambda doc: GrowSet(frozenset([_dec(x) for x in doc["v"]])))
 register(MergeMap, "map",
          lambda obj: {"t": "map", "v": [[encode(k), encode(v)] for k, v in obj.entries]},
          _decode_map)
 register(MergeList, "list",
          lambda obj: {"t": "list", "v": [encode(x) for x in obj.items]},
-         lambda doc: MergeList(tuple(decode(x) for x in doc["v"])))
+         lambda doc: MergeList(tuple([_dec(x) for x in doc["v"]])))
 record(Epoch, "epoch", "n", "v")

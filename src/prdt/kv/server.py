@@ -241,6 +241,9 @@ def main(argv=None) -> int:
     if args.id in peers:
         print("error: --peers must not include the server's own id", file=sys.stderr)
         return 2
+    if args.election_timeout_ms < 1:
+        print("error: --election-timeout-ms must be at least 1", file=sys.stderr)
+        return 2
     try:
         server = Server(args.id, listen, peers, args.election_timeout_ms)
     except OSError as exc:

@@ -214,10 +214,15 @@ def error_response(message: str) -> dict:
     return {"status": "error", "value": message}
 
 
+# Built once: ``json.dumps`` with any option builds a new encoder per
+# call. Key order is free on the wire (``codec.canon`` orders keys where
+# a total order is needed), and a frame is a tree by construction, so
+# the encoder skips its cycle check.
+_dump_frame = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+
+
 def encode_frame(frame: dict) -> bytes:
-    # key order is free on the wire; ``codec.canon`` orders keys where a
-    # total order is needed
-    return json.dumps(frame, separators=(",", ":")).encode("utf-8") + b"\n"
+    return _dump_frame(frame).encode("utf-8") + b"\n"
 
 
 def iter_frames(fileobj):

@@ -34,7 +34,7 @@ protocols drive and read an instance only through ``propose``,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, total_ordering
+from functools import total_ordering
 from typing import Optional
 
 from .. import codec
@@ -49,7 +49,7 @@ from ..kernel import (
     Undecided,
     agreement_join,
 )
-from ..lattice import MergeMap, ProductMixin
+from ..lattice import MergeMap, ProductMixin, cached
 from .voting import Membership, VotingState, check_votes, has_not_voted, leading_value
 from .voting import decision as voting_decision
 
@@ -73,7 +73,7 @@ class PaxosRound(ProductMixin):
     leader_election: VotingState = VotingState()
     proposals: VotingState = VotingState()
 
-    @cached_property
+    @cached
     def _reads(self) -> dict:
         return {}
 

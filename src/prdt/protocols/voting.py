@@ -10,7 +10,6 @@ guard and the decision are monotone.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Any, Tuple
 
@@ -25,7 +24,7 @@ from ..kernel import (
     ReplicaContext,
     UNDECIDED,
 )
-from ..lattice import GrowSet, ProductMixin
+from ..lattice import GrowSet, ProductMixin, cached
 
 
 @dataclass(frozen=True)
@@ -44,7 +43,7 @@ class VotingState(ProductMixin):
     def of(cls, *pairs: Tuple[str, Any]) -> "VotingState":
         return cls(GrowSet(frozenset(Vote(p, v) for p, v in pairs)))
 
-    @functools.cached_property
+    @cached
     def counts(self):
         """``tally(self)``, computed once and kept on the value; never mutate it."""
         return tally(self)

@@ -160,7 +160,7 @@ def test_decided_value_round_trips_structurally():
     assert codec.loads(codec.canon(d)).value == ("k", "v")
 
 
-TAGS = sorted(codec._CODECS_BY_TAG)
+TAGS = sorted(codec._DECODERS)
 KEYS = ["v", "n", "k", "uid", "p", "le", "prop", "rounds", "c", "pred", "cur", "next", "val",
         "a", "b"]
 SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2, 2), st.sampled_from(["n1", "x"]),
@@ -180,13 +180,30 @@ TAGGED_JSON = st.recursive(
 )
 
 
+# unique keys out of order: accepted, and sorted (test_map_with_a_repeated_key_rejected)
+UNSORTED_MAP = '{"t":"map","v":[[2,"b"],[1,"a"]]}'
+EPOCH_WITHOUT_ITS_VALUE = '{"t":"epoch","n":1}'
+
+
 # drawn as JSON text: hypothesis cannot print a 400-deep example object
 @given(TAGGED_JSON.map(json.dumps))
 @example(json.dumps(UNORDERED_ROUND_KEYS))
 @example(json.dumps(MEMBERS_OF_A_STRING))
 @example(json.dumps(NESTED_TUPS))
+@example(UNSORTED_MAP)
+@example(EPOCH_WITHOUT_ITS_VALUE)
+@example("1.5")
+@example('[{"t":"tup","v":[]}]')
 def test_decode_raises_only_value_error(text):
     try:
-        codec.loads(text)
+        value = codec.loads(text)
     except ValueError:
-        pass
+        return
+    # every document decode accepts survives re-encoding
+    assert codec.loads(json.dumps(codec.encode(value))) == value
+
+
+def test_decode_refuses_a_record_missing_a_key_and_a_bare_float_or_list():
+    for text in (EPOCH_WITHOUT_ITS_VALUE, "1.5", '[{"t":"tup","v":[]}]'):
+        with pytest.raises(ValueError):
+            codec.loads(text)

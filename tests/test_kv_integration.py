@@ -160,6 +160,21 @@ def test_server_cli_reports_a_port_it_cannot_listen_on(capsys):
     assert captured.err.startswith(f"error: cannot listen on {listen}: ")
 
 
+@pytest.mark.parametrize("timeout_ms", ["-5", "0"])
+def test_server_cli_rejects_an_election_timeout_below_1_ms(timeout_ms, capsys):
+    # a node with no timeout restarts the ballot of any op pending at a tick
+    with socket.socket() as held:
+        held.bind(("127.0.0.1", 0))
+        held.listen()
+        # the port is taken, so a check made after binding would exit 1
+        listen = f"127.0.0.1:{held.getsockname()[1]}"
+        argv = ["--id", "n1", "--listen", listen, "--election-timeout-ms", timeout_ms]
+        assert server_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --election-timeout-ms must be at least 1\n"
+
+
 def test_client_and_bench_clis_reject_a_port_above_65535(tmp_path, capsys):
     # getaddrinfo would wrap 70000 to 4464 and talk to whatever listens there
     assert client_main(["--server", "127.0.0.1:70000", "get", "k"]) == 2

@@ -1,16 +1,18 @@
 """Merge laws for every combinator: commutative, associative,
 idempotent, bottom-neutral, all under structural equality; and a merge
-that adds nothing returns the receiver itself."""
+that adds nothing returns the receiver itself, with what it caches."""
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prdt.lattice import Epoch, GrowSet, MergeList, MergeMap, leq, merge
-from prdt.protocols.paxos import BallotNum, PaxosRound, PaxosState
+from prdt.lattice import Epoch, GrowSet, MergeList, MergeMap, cached, leq, merge
+from prdt.protocols.paxos import BallotNum, PaxosRound, PaxosState, single_round
 from prdt.protocols.variants import ConfigRound, GenOp
-from prdt.protocols.voting import ParallelVotingState, VotingState
+from prdt.protocols.voting import Membership, ParallelVotingState, VotingState
 from prdt.sim import lattice_law_problems
 
 settings.register_profile("suite", deadline=None, max_examples=100)
@@ -194,3 +196,45 @@ def test_mergemap_merge_matches_the_dict_union(keys, values, data):
             assert pair is kept[0]
     assert_laws(left, right, out, MergeMap.bottom())
     assert out.merge(left) is out and out.merge(right) is out
+
+
+def test_cached_computes_once_per_instance_and_keeps_it_there():
+    calls = []
+
+    @dataclass(frozen=True)
+    class Box:
+        n: int
+
+        @cached
+        def double(self):
+            """Twice ``n``."""
+            calls.append(self)
+            return 2 * self.n
+
+    a, b = Box(1), Box(1)
+    assert a.double == 2 and a.double == 2
+    assert len(calls) == 1 and calls[0] is a
+    assert vars(a) == {"n": 1, "double": 2} and vars(b) == {"n": 1}
+    # an equal but distinct instance computes its own
+    assert b.double == 2
+    assert len(calls) == 2 and calls[1] is b
+    # the kept value is no field: equality and hash ignore it
+    assert a == b and hash(a) == hash(b)
+    assert Box.double.__doc__ == "Twice ``n``."
+
+
+def test_a_merge_that_adds_nothing_keeps_what_the_values_cache():
+    abc = Membership.of("a", "b", "c")
+    votes = VotingState.of(("a", "cat"), ("b", "cat"))
+    counts = votes.counts
+    assert votes.merge(VotingState.of(("a", "cat"))) is votes
+    assert votes.counts is counts
+    ballot = BallotNum("a", 1)
+    round_ = PaxosRound(VotingState.of(("a", "a"), ("b", "a")), votes)
+    state = single_round(ballot, round_)
+    read = round_.outcome(abc)
+    grown = state.merge(single_round(ballot, PaxosRound(proposals=VotingState.of(("b", "cat")))))
+    assert grown is state
+    kept = grown.rounds.entries[0][1]
+    # the round's read is not recomputed: the same Decided object comes back
+    assert kept is round_ and kept.outcome(abc) is read and kept.proposals.counts is counts
