@@ -58,17 +58,17 @@ counter across a restart waits for item 2's checkpoint.
 
 A core with pending entries whose leader (the owner of the current
 epoch's highest ballot) is another peer opens no ballot: it sends that
-peer one FORWARD of the pending entries it has not yet sent to that
-leader, so each entry goes once per leader, and again when the leader
-reconnects. It does so only if it has heard that peer directly in its
-current epoch or the one before; a leader it cannot reach would swallow
-every forward, so then it proposes as before. The origin keeps its
-entries pending and answers its clients from its own log; if the leader
-is gone, the election timer restarts the ballot and the origin proposes
-them itself. The leader keeps forwarded entries after its own pending
-ones, drops one it already holds or that the log decided past the
-sender's length, and drops each as the log decides it. Only the owner
-of the current ballot proposes forwarded entries.
+peer one FORWARD of the pending entries not yet sent to it, those past a
+mark (leader, seq), so each entry goes once per leader, and again when
+the leader reconnects. It does so only if it has heard that peer
+directly in its current epoch or the one before; a leader it cannot
+reach would swallow every forward, so then it proposes as before. The
+origin keeps its entries pending and answers its clients from its own
+log; if the leader is gone, the election timer restarts the ballot and
+the origin proposes them itself. The leader keeps forwarded entries, an
+ordered set, after its own pending ones, drops one it already holds or
+that the log decided past the sender's length, and drops each as the
+log decides it. Only the owner of the current ballot proposes them.
 
 The core knows no protocol internals and no payload format: beside the
 consensus contract it calls the protocol's ``check_state`` on every peer
@@ -120,16 +120,15 @@ class ServerCore:
         # entry -> request id, in arrival order
         self.pending: dict = {}
         self._seq = 0  # client requests taken
-        # entries other nodes handed to this one, in arrival order
-        self.forwarded: List = []
+        # entries other nodes handed to this one: an ordered set (a dict)
+        self.forwarded: dict = {}
         self.now = 0.0
         self.election_timeout = election_timeout
         self.election_deadline: Optional[float] = None
         self._last_proposal_key = None
-        # the leader the pending entries were forwarded to, and the
-        # entries already sent to it
-        self._forward_leader = None
-        self._forwarded_ids: set = set()
+        # (leader, seq): pending entries, in seq order, went to that
+        # leader up to seq; every forward sends all the ones past it
+        self._forwarded_to = (None, 0)
         # each peer's last envelope: our epoch counter when it arrived
         self._heard: dict = {}
         self._upkept = None  # the state upkeep last ran on
@@ -208,7 +207,7 @@ class ServerCore:
         effects.append(SendToPeer(peer, wire.delta_envelope(self.uid, (self.state,))))
         # So may a forward to the leader: send it again.
         if peer == self._leader(self.state):
-            self._forward_leader = None
+            self._forwarded_to = (None, 0)
             self._progress(effects)
         return self._flush(effects)
 
@@ -331,20 +330,17 @@ class ServerCore:
         election timer still runs."""
         if self.election_deadline is None:
             self._reset_election()
-        if leader != self._forward_leader:
-            self._forward_leader = leader
-            self._forwarded_ids = set()
-        sent = self._forwarded_ids
-        entries = tuple(entry for entry in self.pending if entry not in sent)
+        sent = self._forwarded_to[1] if self._forwarded_to[0] == leader else 0
+        entries = tuple(entry for entry in self.pending if entry.seq > sent)
         if entries:
-            sent.update(entries)
+            self._forwarded_to = (leader, entries[-1].seq)
             effects.append(SendToPeer(leader, wire.forward_envelope(self.uid, len(self.log), entries)))
 
     def _take_forward(self, have: int, batch) -> None:
         """Keep each forwarded entry unless it is held already or was
         decided in an epoch the sender had not seen."""
-        held = set(self.forwarded).union(*self.log[have:])
-        self.forwarded += [entry for entry in dict.fromkeys(batch) if entry not in held]
+        decided = set().union(*self.log[have:])
+        self.forwarded.update((entry, None) for entry in batch if entry not in decided)
 
     def _batch(self) -> tuple:
         """Every pending entry in arrival order, then every forwarded one."""
@@ -356,17 +352,14 @@ class ServerCore:
             op = entry.op
             if isinstance(op, Write):
                 self.values[op.key] = op.value
-                response = wire.ok_response()
-            elif op.key in self.values:
-                response = wire.ok_response(self.values[op.key])
-            else:
-                response = wire.not_found_response()
+            self.forwarded.pop(entry, None)
             if entry in self.pending:
+                if isinstance(op, Write):
+                    response = wire.ok_response()
+                elif op.key in self.values:
+                    response = wire.ok_response(self.values[op.key])
+                else:
+                    response = wire.not_found_response()
                 effects.append(Respond(self.pending.pop(entry), response))
                 self._last_proposal_key = None
                 self.election_deadline = None
-        if self.forwarded:
-            decided = set(batch)
-            self.forwarded = [entry for entry in self.forwarded if entry not in decided]
-        # remember only entries still pending
-        self._forwarded_ids.intersection_update(self.pending)

@@ -84,8 +84,6 @@ class Server:
         self.links = {}  # peer -> its link while connecting or up
         self.retry_at = {pid: 0.0 for pid in peers}  # peer -> when to connect a down link
         self.backoff = {pid: _RECONNECT_MIN for pid in peers}
-        self._responders = {}  # request id -> the client connection to answer
-        self._request_seq = 0
 
     def serve_forever(self) -> None:
         self.selector.register(self.listener, selectors.EVENT_READ)
@@ -122,9 +120,8 @@ class Server:
                         frames[key] = wire.encode_frame(effect.envelope)
                     self._send(conn, frames[key])
             else:
-                conn = self._responders.pop(effect.request_id, None)
-                if conn is not None:
-                    self._send(conn, wire.encode_frame(effect.response))
+                # a request's id is the connection it came on
+                self._send(effect.request_id, wire.encode_frame(effect.response))
 
     def _accept(self, listener: socket.socket) -> None:
         try:
@@ -134,8 +131,13 @@ class Server:
         self.selector.register(conn.sock, selectors.EVENT_READ, conn)
 
     def _connect(self, peer: str) -> None:
+        try:
+            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        except OSError:  # no descriptor is free: a failed connect
+            self._back_off(peer)
+            return
         del self.retry_at[peer]
-        conn = self.links[peer] = _Conn(socket.socket(socket.AF_INET, socket.SOCK_STREAM), peer)
+        conn = self.links[peer] = _Conn(sock, peer)
         # the connect is done when the socket turns writable
         self.selector.register(conn.sock, selectors.EVENT_WRITE, conn)
         try:
@@ -155,8 +157,11 @@ class Server:
         if conn.up:  # a link that was up reconnects at once
             self.retry_at[peer] = 0.0
         else:
-            self.retry_at[peer] = time.monotonic() + self.backoff[peer]
-            self.backoff[peer] = min(2 * self.backoff[peer], _RECONNECT_MAX)
+            self._back_off(peer)
+
+    def _back_off(self, peer: str) -> None:
+        self.retry_at[peer] = time.monotonic() + self.backoff[peer]
+        self.backoff[peer] = min(2 * self.backoff[peer], _RECONNECT_MAX)
 
     def _on_writable(self, conn: _Conn) -> None:
         if not conn.up:  # the connect finished
@@ -216,9 +221,7 @@ class Server:
                     self.retry_at[sender] = 0.0
                 self._run(self.core.on_envelope, frame)
             elif "op" in frame:
-                self._request_seq += 1
-                self._responders[self._request_seq] = conn
-                self._run(self.core.on_client_request, self._request_seq, frame)
+                self._run(self.core.on_client_request, conn, frame)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -101,9 +101,6 @@ def _decode_entry(doc: dict) -> Entry:
 
 for _tag in ("p", "g"):
     codec.register(Entry, _tag, _encode_entry, _decode_entry)
-# a bare operation, as ``decided_ops`` lists it, keeps its canonical form
-codec.record(Write, "put", "k", "v")
-codec.record(Read, "get", "k")
 
 
 def delta_envelope(sender: str, parts) -> dict:

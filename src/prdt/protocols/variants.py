@@ -3,9 +3,12 @@
 Each variant is a lattice combinator wrapped around ``PaxosState`` plus
 one extra protocol action, ``nextDecision``, whose enabling query checks
 that the present instance has decided. A variant drives and reads its
-instances only through ``paxos.propose``, ``paxos.upkeep`` and
+instances through ``paxos.propose``, ``paxos.upkeep`` and
 ``paxos.decision``, and reads each instance's outcome once per call;
 ``paxos.propose`` declines a decided or poisoned instance by itself.
+``MultiPaxos`` also uses ``phase1a``, ``is_current_leader``,
+``single_round``, ``current_ballot`` and ``paxos.check_state`` for its
+seed round and the store's hooks.
 Its ``propose`` and ``upkeep`` deltas are the inner Paxos deltas carried
 through its combinator by ``lift``, which maps the empty inner delta to
 the variant's own bottom:

@@ -41,8 +41,6 @@ SAMPLES = [
     Decided("val1"),
     Decided((0, "val1")),
     INVALID,
-    Write("k", "v"),
-    Read("k"),
     Entry("n1", 1, Write("k", "v")),
     Entry("n2", 7, Read("k")),
 ]

@@ -409,15 +409,15 @@ def test_a_forwarded_op_an_unseen_epoch_decided_is_not_taken():
     # n2 forwarded the put again before it saw epoch 1 decide it
     late = roundtrip(wire.forward_envelope("n2", 1, leader.log[1]))
     assert leader.on_envelope(late) == []
-    assert leader.forwarded == []
+    assert list(leader.forwarded) == []
     assert net.put("n1", "j", "w") == {"status": "ok"}
     assert leader.decided_ops == [Write("a", "1"), Write("k", "v"), Write("j", "w")]
     # a forwarded op no epoch decided is taken and proposed
     fresh = (Entry("n2", 2, Write("f", "x")),)
     effects = leader.on_envelope(roundtrip(wire.forward_envelope("n2", 3, fresh)))
-    assert leader.forwarded == list(fresh)
+    assert list(leader.forwarded) == list(fresh)
     net._pump("n1", effects)
-    assert leader.forwarded == []
+    assert list(leader.forwarded) == []
     assert leader.decided_ops[-1] == Write("f", "x")
 
 
@@ -468,21 +468,66 @@ def test_an_op_that_missed_the_leaders_batch_is_forwarded_once_per_leader(memory
     lead = n1.on_client_request(("n1", "b"), {"op": "put", "key": "b", "value": "2"})
     net._pump("n2", n2.on_client_request(("n2", "k"), {"op": "put", "key": "k", "value": "v"}))
     # n1 takes the op, but its batch for epoch 1 left before it came
-    assert n1.forwarded == [Entry("n2", 1, Write("k", "v"))]
+    assert list(n1.forwarded) == [Entry("n2", 1, Write("k", "v"))]
     net._pump("n1", lead)
     assert net.responses.pop(("n1", "b")) == net.responses.pop(("n2", "k")) == {"status": "ok"}
     assert n1.log[1:] == [(Entry("n1", 2, Write("b", "2")),), (Entry("n2", 1, Write("k", "v")),)]
     # n2 reached epoch 2 with the op pending and did not send it again
     assert [frame for frame in seen if frame[2] == wire.FORWARD] == [("n2", "n1", wire.FORWARD)]
-    assert not n2._forwarded_ids  # it remembers only pending ops
     # an op n1 holds but cannot get decided is sent again once n1 reconnects
     net.blocked = {("n1", "n2"), ("n1", "n3")}
     net._pump("n2", n2.on_client_request(("n2", "j"), {"op": "put", "key": "j", "value": "w"}))
-    assert n1.forwarded == [Entry("n2", 2, Write("j", "w"))] and ("n2", "j") not in net.responses
+    assert list(n1.forwarded) == [Entry("n2", 2, Write("j", "w"))] and ("n2", "j") not in net.responses
     net.blocked.clear()
     forwards = [e for e in n2.on_peer_connected("n1") if e.envelope["kind"] == wire.FORWARD]
     assert [(e.peer, wire.parse_envelope(roundtrip(e.envelope), len(n1.log))[2]) for e in forwards] == [
         ("n1", (len(n2.log), (Entry("n2", 2, Write("j", "w")),)))]
+
+
+def candidacy(uid: str, counter: int) -> dict:
+    """A DELTA from ``uid`` that opens its ballot ``counter`` in epoch 0."""
+    election = VotingState.of((uid, uid))
+    return roundtrip(wire.delta_envelope(uid, (Epoch(0, PaxosState(MergeMap(
+        {BallotNum(uid, counter): PaxosRound(leader_election=election)}))),)))
+
+
+def forwards(effects) -> list:
+    """``(leader, entries)`` of every FORWARD among ``effects``."""
+    return [(e.peer, wire.parse_envelope(roundtrip(e.envelope), 0)[2][1]) for e in effects
+            if isinstance(e, SendToPeer) and e.envelope["kind"] == wire.FORWARD]
+
+
+def test_a_leader_change_sends_each_pending_entry_to_the_new_leader_once():
+    n2 = ServerCore("n2", ("n1", "n3"))
+    k, j = Entry("n2", 1, Write("k", "v")), Entry("n2", 2, Write("j", "w"))
+    assert forwards(n2.on_envelope(candidacy("n1", 1))) == []
+    assert forwards(n2.on_client_request("k", {"op": "put", "key": "k", "value": "v"})) == [
+        ("n1", (k,))]
+    # a ballot restart moves leadership to n3: the pending entry goes there
+    assert forwards(n2.on_envelope(candidacy("n3", 2))) == [("n3", (k,))]
+    # a later entry goes alone, and a repeated delta sends nothing again
+    assert forwards(n2.on_client_request("j", {"op": "put", "key": "j", "value": "w"})) == [
+        ("n3", (j,))]
+    assert forwards(n2.on_envelope(candidacy("n3", 2))) == []
+    # n1 leads again: every pending entry goes to it again, once
+    assert forwards(n2.on_envelope(candidacy("n1", 3))) == [("n1", (k, j))]
+    assert forwards(n2.on_envelope(candidacy("n1", 3))) == []
+    assert list(n2.pending) == [k, j]
+
+
+def test_a_forward_that_repeats_an_entry_is_taken_once(memory_net):
+    net = memory_net
+    assert net.put("n1", "a", "1") == {"status": "ok"}
+    n1 = net.cores["n1"]
+    k, j = Entry("n2", 1, Write("k", "v")), Entry("n2", 2, Read("k"))
+    # n1's proposals are cut off, so what it takes stays forwarded
+    net.blocked = {("n1", "n2"), ("n1", "n3")}
+    for batch in ((k, k, j), (j, k)):
+        net._pump("n1", n1.on_envelope(roundtrip(wire.forward_envelope("n2", 1, batch))))
+    assert list(n1.forwarded) == [k, j]
+    net.blocked.clear()
+    net.connect_all()
+    assert n1.log[-1] == (k, j) and not n1.forwarded
 
 
 def test_an_op_forwarded_before_its_head_was_answered_keeps_the_election_timer_running(memory_net):
@@ -514,7 +559,7 @@ def test_a_forward_from_a_peer_ahead_of_the_leader_is_taken_at_once(memory_net):
     assert len(n2.log) == 2 and len(n1.log) == 1
     # an equal get on n2 is another request, though n1 still holds its own
     net._pump("n2", n2.on_client_request(("n2", "k"), {"op": "get", "key": "k"}))
-    assert n1.forwarded == [Entry("n2", 1, Read("k"))]
+    assert list(n1.forwarded) == [Entry("n2", 1, Read("k"))]
     net._pump("n2", accepted)
     net._pump("n1", [e for e in lead if e.peer != "n2"])
     assert net.responses.pop(("n1", "k")) == net.responses.pop(("n2", "k")) == {"status": "not_found"}
@@ -529,7 +574,7 @@ def test_a_forwarded_op_equal_to_one_the_leader_holds_is_taken(memory_net):
     net._pump("n2", n2.on_client_request(("n2", "b"), {"op": "put", "key": "b", "value": "2"}))
     # n2's get equals n1's, which n1 has proposed already
     net._pump("n2", n2.on_client_request(("n2", "k"), {"op": "get", "key": "k"}))
-    assert n1.forwarded == [Entry("n2", 1, Write("b", "2")), Entry("n2", 2, Read("k"))]
+    assert list(n1.forwarded) == [Entry("n2", 1, Write("b", "2")), Entry("n2", 2, Read("k"))]
     # epoch 1 decides n1's get, which does not answer n2's
     net._pump("n1", lead)
     assert net.responses.pop(("n1", "k")) == {"status": "not_found"}
@@ -617,7 +662,8 @@ BATCH = (Entry("n2", 1, Write("k", "v")),)
 # a bool or negative ``have``, a non-batch, a non-tuple, a 3-tuple, and
 # each malformed entry a DELTA may not hold either
 MALFORMED_FORWARDS = [forward_frame(codec.encode(body)) for body in (
-    (True, BATCH), (-1, BATCH), (0, Write("k", "v")), (0, ()), Write("k", "v"), (0, BATCH, 0))] + [
+    (True, BATCH), (-1, BATCH), (0, ()), (0, BATCH, 0))] + [
+    forward_frame({"t": "tup", "v": [0, PUT_DOC]}), forward_frame(PUT_DOC),
     forward_frame(None), forward_frame([0, [PUT_DOC]])] + [
     forward_frame({"t": "tup", "v": [0, {"t": "tup", "v": [doc]}]}) for doc in NOT_AN_ENTRY]
 
@@ -628,14 +674,14 @@ def test_malformed_forwards_are_dropped():
         with pytest.raises(ValueError):
             wire.parse_envelope(roundtrip(frame), 0)
         assert core.on_envelope(roundtrip(frame)) == []
-        assert core.forwarded == []
+        assert list(core.forwarded) == []
         assert core.state == core.protocol.bottom()
     # the well-formed forward is taken, but a core that owns no ballot
     # leaves forwarded ops to the owner and opens none
     assert wire.parse_envelope(roundtrip(wire.forward_envelope("n2", 0, BATCH)), 0) == (
         "n2", wire.FORWARD, (0, BATCH))
     assert core.on_envelope(roundtrip(wire.forward_envelope("n2", 0, BATCH))) == []
-    assert core.forwarded == list(BATCH)
+    assert list(core.forwarded) == list(BATCH)
     assert core.state == core.protocol.bottom()
 
 
@@ -775,8 +821,8 @@ def test_isolated_node_answers_after_the_partition_heals():
 
 # What the script below leaves behind, pinned in three parts so that a
 # change shows which one it moved: sha256 over codec.canon of every
-# core's decided log plus the sorted JSON of every response (what the
-# store decides and answers); sha256 over codec.canon of every core's
+# batch in every core's log plus the sorted JSON of every response (what
+# the store decides and answers); sha256 over codec.canon of every core's
 # final state (the protocol's traces); and the frames delivered. The
 # frame count fell from 244 to 188 when each event's deltas began to
 # leave as one frame per peer and a core kept one sync request per peer
@@ -787,8 +833,10 @@ def test_isolated_node_answers_after_the_partition_heals():
 # delta or tick, and a follower to forward each op once per leader; the
 # decided digest did not move, and the state digest did only because the
 # script ends with seed votes held: one more tick delivers them (2 frames)
-# and brings back the state digest from before.
-STORE_DECIDED_DIGEST = "28a112963cc75800cdfecd8669736020a8c0f02e611a09377f11c9c5924496be"
+# and brings back the state digest from before. The decided digest was
+# taken over the bare operations until it moved to the batches, which
+# pin each entry's origin and seq and the batch bounds too.
+STORE_DECIDED_DIGEST = "c1b02ab958465199ff936668c754aa895695ee4dc8d0d07d040fd756e9c3b3c8"
 STORE_STATE_DIGEST = "629c8911c802262e71498adfc6e6ee6d94c3718271c0109c1109bb3fbc2f3be7"
 STORE_FRAMES = 134
 STORE_STATE_DIGEST_AFTER_TICK = "765072e2a7af4b4b20a64781e958e582fd642d70f69bf2404e5dd8c0329958ad"
@@ -826,8 +874,8 @@ def test_store_runs_are_pinned():
         responses.append(net.get(uid, "g"))
     decided = hashlib.sha256()
     for uid in net.ids:
-        for op in net.cores[uid].decided_ops:
-            decided.update(codec.canon(op).encode() + b"\n")
+        for batch in net.cores[uid].log:
+            decided.update(codec.canon(batch).encode() + b"\n")
     for response in responses:
         decided.update(json.dumps(response, sort_keys=True).encode() + b"\n")
     assert len({len(net.cores[uid].decided_ops) for uid in net.ids}) == 1

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import json
 import os
 import random
@@ -21,7 +22,7 @@ from prdt.bench import main as bench_main
 from prdt.kv import cluster, wire
 from prdt.kv.client import KvClient, main as client_main
 from prdt.kv.cluster import PORTS, free_ports, kv_cluster, wait_listening
-from prdt.kv.server import MAX_BUFFER, main as server_main, parse_hostport, parse_peers
+from prdt.kv.server import MAX_BUFFER, Server, main as server_main, parse_hostport, parse_peers
 from prdt.kv.wire import Entry, Write
 from prdt.lattice import Epoch, MergeMap
 from prdt.protocols.paxos import BallotNum, PaxosRound, PaxosState
@@ -313,6 +314,38 @@ def test_a_peer_that_never_reads_cannot_stall_the_node():
                 proc.wait()
             for sock in held:
                 sock.close()
+
+
+def test_a_peer_dial_with_no_free_descriptor_is_retried_after_the_backoff(monkeypatch):
+    listener = socket.create_server(("127.0.0.1", 0))
+    server = Server("n1", ("127.0.0.1", 0), {"n2": listener.getsockname()})
+    real_socket = socket.socket
+    calls = []
+
+    def no_descriptor_once(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 1:
+            raise OSError(errno.EMFILE, "Too many open files")
+        return real_socket(*args, **kwargs)
+
+    monkeypatch.setattr(socket, "socket", no_descriptor_once)
+    try:
+        before = time.monotonic()
+        server._connect("n2")
+        # the dial failed like a connect: no link, and a retry is due later
+        assert "n2" not in server.links
+        assert server.retry_at["n2"] > before
+        server._connect("n2")
+        assert "n2" in server.links and "n2" not in server.retry_at
+        # the second dial reaches the peer
+        listener.settimeout(5)
+        listener.accept()[0].close()
+    finally:
+        for conn in list(server.links.values()):
+            server._close(conn)
+        server.listener.close()
+        server.selector.close()
+        listener.close()
 
 
 def test_free_ports_are_distinct_unbound_and_below_the_ephemeral_range(monkeypatch):
