@@ -18,12 +18,13 @@ epochs decided, and they may have decided its pending entries. Its
 progress loop then takes no step (no upkeep, no proposal, no append)
 and only asks the peer it heard from for a sync, until a sync answer
 fills the log. A sync request carries the requester's log length; the
-response carries the state plus only the batches past that length, and
-the receiver adopts those past its own length, which may have grown
-while the response was in flight. A core keeps at most one unanswered
-sync request per peer: a hole found while one is out asks nothing more,
-and the peer is asked again only after its response arrives, after it
-reconnects, or after a tick.
+response carries the state, the batches past that length and the
+position they start at. The receiver refuses a response that starts past
+its own log length and adopts the batches past that length, which may
+have grown while the response was in flight. A core keeps at most one
+unanswered sync request per peer: a hole found while one is out asks
+nothing more, and the peer is asked again only after its response
+arrives, after it reconnects, or after a tick.
 Undecided proposes every pending entry, in arrival order, then every
 forwarded one, as one batch, once per (epoch, head request); or forwards
 the pending ones to the leader (below).
@@ -66,16 +67,19 @@ reach would swallow every forward, so then it proposes as before. The
 origin keeps its entries pending and answers its clients from its own
 log; if the leader is gone, the election timer restarts the ballot and
 the origin proposes them itself. The leader keeps forwarded entries, an
-ordered set, after its own pending ones, drops one it already holds or
-that the log decided past the sender's length, and drops each as the
-log decides it. Only the owner of the current ballot proposes them.
+ordered set, after its own pending ones. It drops one it originated
+(its own are pending here), one it already holds and one that the log
+decided past the sender's length, and drops each as the log decides it.
+Only the owner of the current ballot proposes them.
 
 The core knows no protocol internals and no payload format: beside the
 consensus contract it calls the protocol's ``check_state`` on every peer
 state before a merge, its ``restart`` on an election timeout and its
-``leader`` before proposing, and ``wire`` parses every frame. Both
-``check_state`` and ``wire`` raise only ``ValueError``, so a malformed
-frame is dropped and never stops a node.
+``leader`` before proposing. Every payload is one codec document:
+``wire.envelope`` encodes each body it sends, ``wire.parse_envelope``
+decodes and shape-checks each frame, and the core judges only where a
+body meets its own log. Both ``check_state`` and ``wire`` raise only
+``ValueError``, so a malformed frame is dropped and never stops a node.
 """
 
 from __future__ import annotations
@@ -164,7 +168,7 @@ class ServerCore:
     def on_envelope(self, frame: dict) -> List:
         effects: List = []
         try:
-            sender, kind, body = wire.parse_envelope(frame, len(self.log))
+            sender, kind, body = wire.parse_envelope(frame)
             if sender not in self.peers:
                 raise ValueError(f"envelope from a non-peer: {sender!r}")
             self._heard[sender] = self.state.counter
@@ -176,19 +180,20 @@ class ServerCore:
             elif kind == wire.SYNC_REQUEST:
                 # ship only the log suffix the requester lacks
                 start = min(body, len(self.log))
-                effects.append(SendToPeer(
-                    sender,
-                    wire.sync_response_envelope(self.uid, self.state, self.log, start),
-                ))
+                answer = (self.state, start, tuple(self.log[start:]))
+                effects.append(SendToPeer(sender, wire.envelope(self.uid, wire.SYNC_RESPONSE, answer)))
             elif kind == wire.FORWARD:
                 self._take_forward(*body)
                 self._progress(effects)
             else:
-                state, missing = body
+                state, start, batches = body
+                if start > len(self.log):
+                    raise ValueError(f"sync suffix from {start} skips past our log")
                 self._check_state(state, wire.is_batch)
                 # answered: a hole this answer leaves open asks again
                 self._asked.discard(sender)
-                for batch in missing:
+                # the batches below our log length are decided here already
+                for batch in batches[len(self.log) - start:]:
                     self._append_decided(batch, effects)
                 self._absorb(state, sender, effects)
         except ValueError:
@@ -204,7 +209,7 @@ class ServerCore:
         effects: List = []
         self._asked.discard(peer)
         self._request_sync(peer, effects)
-        effects.append(SendToPeer(peer, wire.delta_envelope(self.uid, (self.state,))))
+        effects.append(SendToPeer(peer, wire.envelope(self.uid, wire.DELTA, (self.state,))))
         # So may a forward to the leader: send it again.
         if peer == self._leader(self.state):
             self._forwarded_to = (None, 0)
@@ -234,7 +239,7 @@ class ServerCore:
         unless a request to it is still unanswered."""
         if peer not in self._asked:
             self._asked.add(peer)
-            effects.append(SendToPeer(peer, wire.sync_request_envelope(self.uid, len(self.log))))
+            effects.append(SendToPeer(peer, wire.envelope(self.uid, wire.SYNC_REQUEST, len(self.log))))
 
     def _reset_election(self) -> None:
         self.election_deadline = self.now + self.election_timeout
@@ -260,7 +265,7 @@ class ServerCore:
         that is queued is a held seed vote."""
         out = self._outgoing
         if out and not (len(out) == 1 and out[0] is self._held):
-            envelope = wire.delta_envelope(self.uid, out)
+            envelope = wire.envelope(self.uid, wire.DELTA, tuple(out))
             self._outgoing = []
             self._held = None
             for peer in self.peers:
@@ -334,13 +339,15 @@ class ServerCore:
         entries = tuple(entry for entry in self.pending if entry.seq > sent)
         if entries:
             self._forwarded_to = (leader, entries[-1].seq)
-            effects.append(SendToPeer(leader, wire.forward_envelope(self.uid, len(self.log), entries)))
+            body = (len(self.log), entries)
+            effects.append(SendToPeer(leader, wire.envelope(self.uid, wire.FORWARD, body)))
 
     def _take_forward(self, have: int, batch) -> None:
-        """Keep each forwarded entry unless it is held already or was
+        """Keep each forwarded entry unless this core is its origin (it
+        holds its own entries as pending), it is held already or it was
         decided in an epoch the sender had not seen."""
         decided = set().union(*self.log[have:])
-        self.forwarded.update((entry, None) for entry in batch if entry not in decided)
+        self.forwarded.update((e, None) for e in batch if e.origin != self.uid and e not in decided)
 
     def _batch(self) -> tuple:
         """Every pending entry in arrival order, then every forwarded one."""

@@ -1,31 +1,34 @@
 """Wire format: newline-delimited JSON frames over TCP.
 
 Peer frames are envelopes ``{sender, kind, payload}`` where kind is
-DELTA, SYNC_REQUEST, SYNC_RESPONSE or FORWARD. A DELTA payload is the
-canonical serialization of a non-empty tuple of deltas, one per epoch
-and in epoch order, which the receiver absorbs in that order (a full
-state is a delta too). The decided log holds one entry per decided
-epoch, a batch: the non-empty tuple of entries that epoch decided, in
-order. An entry is one client request, ``Entry(origin, seq, op)``: the
-``seq``-th request that node ``origin`` took, and its operation. Its
-document is flat, ``{"t": "p", "o": origin, "s": seq, "k": key, "v":
-value}`` for a put and ``{"t": "g", "o": origin, "s": seq, "k": key}``
-for a get. A sync request says how many decided epochs the requester
-holds, ``{have}``; the response carries the responder's state plus only
-the log suffix past that point, ``{state, from, log}``, where ``log``
-holds the batches of epochs ``from`` onwards. A FORWARD hands a node's
-pending entries to its leader; its payload is one codec document, the
-encoded pair ``(have, batch)`` of the sender's log length and its
-entries in arrival order. Client frames are ``{op, key, value?}``
-requests with string keys and values, answered by ``{status, value?}``
-responses. Duplicated or reordered peer frames are harmless by
-construction: merging is idempotent and commutative, and a receiver
-adopts only the suffix entries past its own log.
+DELTA, SYNC_REQUEST, SYNC_RESPONSE or FORWARD. Every payload is one
+codec document: the canonical encoding of the kind's body, built by
+``envelope`` and decoded whole by ``parse_envelope``. The bodies:
+
+- DELTA: a non-empty tuple of deltas, one per epoch in epoch order, which
+  the receiver absorbs in that order (a full state is a delta too);
+- SYNC_REQUEST: ``have``, how many decided epochs the requester holds;
+- SYNC_RESPONSE: ``(state, start, batches)``, the responder's state and
+  the batches of its log from epoch ``start`` onwards;
+- FORWARD: ``(have, batch)``, the sender's log length and the pending
+  entries it hands its leader, in arrival order.
+
+The decided log holds one entry per decided epoch, a batch: the
+non-empty tuple of entries that epoch decided, in order. An entry is one
+client request, ``Entry(origin, seq, op)``: the ``seq``-th request that
+node ``origin`` took, and its operation. Its document is flat, ``{"t":
+"p", "o": origin, "s": seq, "k": key, "v": value}`` for a put and
+``{"t": "g", "o": origin, "s": seq, "k": key}`` for a get. Client frames
+are ``{op, key, value?}`` requests with string keys and values, answered
+by ``{status, value?}`` responses. Duplicated or reordered peer frames
+are harmless by construction: merging is idempotent and commutative, and
+a receiver adopts only the suffix entries past its own log.
 
 This module owns the payload formats: ``parse_envelope`` decodes every
-peer payload and ``parse_request`` reads every client request, and both
-raise ``ValueError`` and nothing else on any JSON value. States come
-back decoded but not shape-checked; the protocol checks its own state.
+peer payload and checks its body's shape, and ``parse_request`` reads
+every client request; both raise ``ValueError`` and nothing else on any
+JSON value. States come back decoded but not shape-checked: the protocol
+checks its own state, and the core judges where a body meets its log.
 """
 
 from __future__ import annotations
@@ -103,33 +106,9 @@ for _tag in ("p", "g"):
     codec.register(Entry, _tag, _encode_entry, _decode_entry)
 
 
-def delta_envelope(sender: str, parts) -> dict:
-    """Ship the deltas ``parts``, kept in epoch order, as one frame."""
-    return {"sender": sender, "kind": DELTA, "payload": codec.encode(tuple(parts))}
-
-
-def sync_request_envelope(sender: str, have: int) -> dict:
-    """Ask a peer for its state and the decided log past epoch ``have``."""
-    return {"sender": sender, "kind": SYNC_REQUEST, "payload": {"have": have}}
-
-
-def sync_response_envelope(sender: str, state, log, start: int) -> dict:
-    """Ship ``state`` and the batches ``log[start:]``, one per epoch."""
-    return {
-        "sender": sender,
-        "kind": SYNC_RESPONSE,
-        "payload": {
-            "state": codec.encode(state),
-            "from": start,
-            "log": [codec.encode(batch) for batch in log[start:]],
-        },
-    }
-
-
-def forward_envelope(sender: str, have: int, batch) -> dict:
-    """Hand the entries ``batch`` to the leader, saying how many
-    decided epochs the sender holds."""
-    return {"sender": sender, "kind": FORWARD, "payload": codec.encode((have, tuple(batch)))}
+def envelope(sender: str, kind: str, body) -> dict:
+    """A peer frame whose payload is ``body`` as one codec document."""
+    return {"sender": sender, "kind": kind, "payload": codec.encode(body)}
 
 
 def _log_index(value) -> int:
@@ -139,45 +118,26 @@ def _log_index(value) -> int:
     return value
 
 
-def parse_envelope(frame, log_length: int) -> tuple:
-    """``(sender, kind, body)`` of a peer frame, its payload decoded.
-
-    The body of a DELTA is its tuple of states; of a SYNC_REQUEST, the
-    requester's log length ``have``; of a SYNC_RESPONSE, ``(state,
-    batches)`` where ``batches`` are the suffix entries past
-    ``log_length``, the number of epochs the receiver's log holds; of a
-    FORWARD, ``(have, batch)``.
-    """
+def parse_envelope(frame) -> tuple:
+    """``(sender, kind, body)`` of a peer frame: its payload decoded once,
+    then the body's shape checked for its kind (see above)."""
     if not isinstance(frame, dict) or frame.get("kind") not in KINDS or "sender" not in frame:
         raise ValueError(f"malformed envelope: {frame!r}")
-    sender, kind, payload = frame["sender"], frame["kind"], frame.get("payload")
-    if kind == DELTA:
-        parts = codec.decode(payload)
-        if type(parts) is not tuple or not parts:
-            raise ValueError("a delta payload is not a non-empty tuple")
-        return sender, kind, parts
-    if kind == FORWARD:
-        body = codec.decode(payload)
-        if type(body) is not tuple or len(body) != 2:
-            raise ValueError("a forward payload is not a pair")
-        have, batch = body
-        if not is_batch(batch):
-            raise ValueError("a forward holds a non-batch")
-        return sender, kind, (_log_index(have), batch)
-    if not isinstance(payload, dict):
-        raise ValueError(f"malformed {kind} payload")
+    sender, kind = frame["sender"], frame["kind"]
+    body = codec.decode(frame.get("payload"))
     if kind == SYNC_REQUEST:
-        return sender, kind, _log_index(payload.get("have"))
-    start, log = _log_index(payload.get("from")), payload.get("log")
-    if start > log_length:
-        raise ValueError(f"sync suffix from {start} skips past our log")
-    if not isinstance(log, list):
-        raise ValueError("sync log is not a list")
-    # suffix entries below the receiver's log length are decided there already
-    batches = [codec.decode(doc) for doc in log[log_length - start:]]
-    if not all(map(is_batch, batches)):
-        raise ValueError("sync log holds a non-batch")
-    return sender, kind, (codec.decode(payload.get("state")), batches)
+        return sender, kind, _log_index(body)
+    if type(body) is not tuple or not body:
+        raise ValueError(f"a {kind} payload is not a non-empty tuple")
+    if kind == DELTA:
+        return sender, kind, body
+    if kind == FORWARD:
+        if len(body) != 2 or not is_batch(body[1]):
+            raise ValueError("a forward payload is not a pair (have, batch)")
+        return sender, kind, (_log_index(body[0]), body[1])
+    if len(body) != 3 or type(body[2]) is not tuple or not all(map(is_batch, body[2])):
+        raise ValueError("a sync response payload is not a triple (state, start, batches)")
+    return sender, kind, (body[0], _log_index(body[1]), body[2])
 
 
 def request_frame(op) -> dict:

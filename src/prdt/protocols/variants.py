@@ -57,15 +57,6 @@ from .paxos import decision as paxos_decision, propose as paxos_propose, upkeep 
 from .voting import Membership, VotingState
 
 
-def leader_of(state: PaxosState, membership: Membership) -> Optional[str]:
-    """The confirmed leader of the highest round that has one, if any."""
-    for _, round_ in reversed(state.rounds.entries):
-        leader = round_.leader(membership)
-        if leader is not None:
-            return leader
-    return None
-
-
 def lift(delta: PaxosState, wrap: Callable[[PaxosState], Any], bottom):
     """Lift an inner Paxos delta through a combinator: ``wrap`` places it
     in the composite state, and the empty delta maps to ``bottom``."""

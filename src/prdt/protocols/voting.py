@@ -144,9 +144,6 @@ class Voting(Consensus):
     def decision(self, state: VotingState) -> Agreement:
         return decision(state, self.membership)
 
-    def upkeep(self, state: VotingState, ctx: ReplicaContext, pending=None) -> VotingState:
-        return VotingState.bottom()
-
 
 def parallel_decision(pair) -> Agreement:
     """Decision of two votings composed in parallel.

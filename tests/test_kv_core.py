@@ -39,10 +39,18 @@ REPEATED_ROUND_KEY = {
         [BALLOT_N2_1, EMPTY_ROUND], [BALLOT_N2_1, EMPTY_ROUND],
     ]}}}),
 }
-NON_OP_SYNC_LOG = {
-    "kind": "SYNC_RESPONSE", "sender": "n2",
-    "payload": {"state": BOTTOM_STATE, "from": 0, "log": [{"t": "set", "v": []}]},
-}
+
+
+def tup(*docs) -> dict:
+    """The codec document of the tuple of ``docs``."""
+    return {"t": "tup", "v": list(docs)}
+
+
+def sync_response(payload) -> dict:
+    return {"kind": "SYNC_RESPONSE", "sender": "n2", "payload": payload}
+
+
+NON_OP_SYNC_LOG = sync_response(tup(BOTTOM_STATE, 0, tup({"t": "set", "v": []})))
 PUT_DOC = {"t": "put", "k": "k", "v": "v"}
 # n2's first request, a put of k=v, as a batch holds it
 ENTRY_DOC = {"t": "p", "o": "n2", "s": 1, "k": "k", "v": "v"}
@@ -58,16 +66,14 @@ BAD_SECOND_PART = {
     "kind": "DELTA", "sender": "n2",
     "payload": {"t": "tup", "v": [EPOCH_1_STATE, WRONG_INNER_STATE["payload"]["v"][0]]},
 }
-# log positions that are not non-negative ints, or start past our log
+# log positions that are not non-negative ints, a response with no
+# start, or one that starts past our log; each batch is well formed, so
+# each frame is dropped for its log position alone
 HOSTILE_SYNC_FRAMES = [
-    {"kind": "SYNC_REQUEST", "sender": "n2", "payload": None},
-    *({"kind": "SYNC_REQUEST", "sender": "n2", "payload": {"have": have}}
-      for have in (-1, True, "3")),
-    {"kind": "SYNC_RESPONSE", "sender": "n2",
-     "payload": {"state": EPOCH_1_STATE, "log": [PUT_DOC]}},
-    *({"kind": "SYNC_RESPONSE", "sender": "n2",
-       "payload": {"state": EPOCH_1_STATE, "from": start, "log": [PUT_DOC]}}
-      for start in (True, -1, 1)),
+    *({"kind": "SYNC_REQUEST", "sender": "n2", "payload": have}
+      for have in (None, -1, True, "3")),
+    sync_response(tup(EPOCH_1_STATE, tup(tup(ENTRY_DOC)))),
+    *(sync_response(tup(EPOCH_1_STATE, start, tup(tup(ENTRY_DOC)))) for start in (True, -1, 1)),
 ]
 
 
@@ -84,14 +90,13 @@ def proposal_of(value_doc) -> dict:
 # (the form before batches), an empty tuple, a tuple holding a non-entry,
 # a bare op in a tuple (the form before entries), an entry with a bool
 # seq or a non-string origin, and a put entry with no value are dropped,
-# as is a sync log entry that is a bare op
+# as is a sync log entry that is a bare entry
 NOT_AN_ENTRY = [PUT_DOC, dict(ENTRY_DOC, s=True), dict(ENTRY_DOC, o=2),
                 {k: v for k, v in ENTRY_DOC.items() if k != "v"}]
 NOT_A_BATCH = [proposal_of(doc) for doc in (
     PUT_DOC, {"t": "tup", "v": []}, {"t": "tup", "v": [ENTRY_DOC, {"t": "set", "v": []}]},
     *({"t": "tup", "v": [doc]} for doc in NOT_AN_ENTRY))] + [
-    {"kind": "SYNC_RESPONSE", "sender": "n2",
-     "payload": {"state": BOTTOM_STATE, "from": 0, "log": [PUT_DOC]}}]
+    sync_response(tup(BOTTOM_STATE, 0, tup(ENTRY_DOC)))]
 
 
 def roundtrip(envelope: dict) -> dict:
@@ -150,7 +155,7 @@ def test_one_coalesced_delta_per_peer():
 
 def test_duplicate_delta_is_silent(memory_net):
     memory_net.put("n1", "k", "v")
-    replay = roundtrip(wire.delta_envelope("n2", (memory_net.cores["n2"].state,)))
+    replay = roundtrip(wire.envelope("n2", wire.DELTA, (memory_net.cores["n2"].state,)))
     before = memory_net.cores["n1"].state
     assert memory_net.cores["n1"].on_envelope(replay) == []
     assert memory_net.cores["n1"].state == before
@@ -190,6 +195,9 @@ def test_malformed_frames_are_dropped():
         assert core.on_envelope(frame) == []
         assert core.state == core.protocol.bottom()
         assert core.decided_ops == []
+    # each sync frame decodes: its shape check drops it, not the codec
+    for frame in (NON_OP_SYNC_LOG, *HOSTILE_SYNC_FRAMES, NOT_A_BATCH[-1]):
+        codec.decode(frame["payload"])
     # the same proposal voting a batch is taken
     core.on_envelope(proposal_of({"t": "tup", "v": [ENTRY_DOC]}))
     assert core.state != core.protocol.bottom()
@@ -241,7 +249,7 @@ def test_epoch_hole_triggers_a_sync_request(memory_net):
     donor = memory_net.cores["n2"]
     assert donor.state.counter == 1
     fresh = ServerCore("n1", ("n2", "n3"))
-    effects = fresh.on_envelope(roundtrip(wire.delta_envelope("n2", (donor.state,))))
+    effects = fresh.on_envelope(roundtrip(wire.envelope("n2", wire.DELTA, (donor.state,))))
     # the merge lands in epoch 1 with an empty log: epoch 0's decision
     # was never seen, so the core asks the sender for history
     wants_sync = [
@@ -249,9 +257,9 @@ def test_epoch_hole_triggers_a_sync_request(memory_net):
         if isinstance(e, SendToPeer) and e.envelope["kind"] == wire.SYNC_REQUEST
     ]
     assert [e.peer for e in wants_sync] == ["n2"]
-    assert wants_sync[0].envelope["payload"] == {"have": 0}
+    assert wants_sync[0].envelope["payload"] == 0
     assert fresh.decided_ops == []
-    response = roundtrip(wire.sync_response_envelope("n2", donor.state, donor.log, 0))
+    response = roundtrip(wire.envelope("n2", wire.SYNC_RESPONSE, (donor.state, 0, tuple(donor.log))))
     fresh.on_envelope(response)
     assert fresh.decided_ops == donor.decided_ops
     assert fresh.state.counter == len(fresh.log)
@@ -271,14 +279,14 @@ def test_a_core_keeps_one_unanswered_sync_request_per_peer(memory_net):
     core = ServerCore("n1", ("n2", "n3"))
 
     def delta(sender, state):
-        return core.on_envelope(roundtrip(wire.delta_envelope(sender, (state,))))
+        return core.on_envelope(roundtrip(wire.envelope(sender, wire.DELTA, (state,))))
 
     assert sync_requests(delta("n2", states[0])) == ["n2"]
     # the hole is still open, but n2 has not answered yet
     assert sync_requests(delta("n2", states[1])) == []
     assert sync_requests(delta("n3", states[1])) == ["n3"]
     # n2's answer fills the log to 2 and re-arms n2 only
-    core.on_envelope(roundtrip(wire.sync_response_envelope("n2", states[1], logs[1], 0)))
+    core.on_envelope(roundtrip(wire.envelope("n2", wire.SYNC_RESPONSE, (states[1], 0, tuple(logs[1])))))
     assert core.log == logs[1]
     assert sync_requests(delta("n3", states[2])) == []
     assert sync_requests(delta("n2", states[2])) == ["n2"]
@@ -299,7 +307,7 @@ def test_a_sync_request_lost_on_a_blocked_link_is_sent_again_after_a_tick():
     assert lagging.decided_ops == []
     # n3 hears from n1 only, and its request back to n1 is dropped
     net.blocked = {("n3", "n1"), ("n2", "n3"), ("n3", "n2")}
-    push = [SendToPeer("n3", wire.delta_envelope("n1", (leader.state,)))]
+    push = [SendToPeer("n3", wire.envelope("n1", wire.DELTA, (leader.state,)))]
     net._pump("n1", push)
     assert lagging.state.counter == 2 and lagging.decided_ops == []
     net.blocked = {("n2", "n3"), ("n3", "n2")}
@@ -329,19 +337,19 @@ def test_a_leader_with_a_hole_leaves_its_head_unproposed():
     # have decided its put: it opens no ballot and casts no vote, and
     # only asks each sender for the log
     for voter in ("n2", "n3"):
-        effects = core.on_envelope(roundtrip(wire.delta_envelope(voter, (epoch_1_vote(voter),))))
+        effects = core.on_envelope(roundtrip(wire.envelope(voter, wire.DELTA, (epoch_1_vote(voter),))))
         assert [(e.peer, e.envelope["kind"]) for e in effects] == [(voter, wire.SYNC_REQUEST)]
     assert core.state.counter == 1 and core.decided_ops == []
     assert [ballot for ballot, _ in core.state.value.rounds.entries] == [candidacy]
     assert voters(core.state) == {"n2", "n3"}
     # once a sync answer fills the hole, n1 takes its first step in epoch
     # 1: it confirms n2, opens no ballot of its own, and hands its put to n2
-    effects = core.on_envelope(roundtrip(wire.sync_response_envelope(
-        "n2", core.state, [(Entry("n2", 1, Write("a", "b")),)], 0)))
+    effects = core.on_envelope(roundtrip(wire.envelope(
+        "n2", wire.SYNC_RESPONSE, (core.state, 0, ((Entry("n2", 1, Write("a", "b")),),)))))
     assert core.decided_ops == [Write("a", "b")]
     sent = [(e.peer, e.envelope) for e in effects if isinstance(e, SendToPeer)]
     forwards = [(peer, env) for peer, env in sent if env["kind"] == wire.FORWARD]
-    assert [(peer, wire.parse_envelope(env, 1)[2]) for peer, env in forwards] == [
+    assert [(peer, wire.parse_envelope(env)[2]) for peer, env in forwards] == [
         ("n2", (1, (Entry("n1", 1, Write("k", "v")),)))]
     deltas = [env for _, env in sent if env["kind"] == wire.DELTA]
     assert len({json.dumps(env, sort_keys=True) for env in deltas}) == 1
@@ -359,10 +367,10 @@ def test_a_core_with_a_hole_does_not_vote_a_put_an_earlier_epoch_decided():
     # the seed round (n1, 0) and n2's vote for n1
     seed = Epoch(1, PaxosState(MergeMap({BallotNum("n1", 0): PaxosRound(
         leader_election=VotingState.of(("n2", "n1")))})))
-    answers += core.on_envelope(roundtrip(wire.delta_envelope("n2", (seed,))))
+    answers += core.on_envelope(roundtrip(wire.envelope("n2", wire.DELTA, (seed,))))
     # the log n2's sync answer brings shows epoch 0 decided the put
     answers += core.on_envelope(roundtrip(
-        wire.sync_response_envelope("n2", seed, [(Entry("n1", 1, Write("k", "v")),)], 0)))
+        wire.envelope("n2", wire.SYNC_RESPONSE, (seed, 0, ((Entry("n1", 1, Write("k", "v")),),)))))
     assert core.decided_ops == [Write("k", "v")]
     assert [e.request_id for e in answers if isinstance(e, Respond)] == [("n1", 0)]
     assert core.state.counter == 1
@@ -407,14 +415,14 @@ def test_a_forwarded_op_an_unseen_epoch_decided_is_not_taken():
     leader = net.cores["n1"]
     assert leader.log[1] == (Entry("n2", 1, Write("k", "v")),)
     # n2 forwarded the put again before it saw epoch 1 decide it
-    late = roundtrip(wire.forward_envelope("n2", 1, leader.log[1]))
+    late = roundtrip(wire.envelope("n2", wire.FORWARD, (1, leader.log[1])))
     assert leader.on_envelope(late) == []
     assert list(leader.forwarded) == []
     assert net.put("n1", "j", "w") == {"status": "ok"}
     assert leader.decided_ops == [Write("a", "1"), Write("k", "v"), Write("j", "w")]
     # a forwarded op no epoch decided is taken and proposed
     fresh = (Entry("n2", 2, Write("f", "x")),)
-    effects = leader.on_envelope(roundtrip(wire.forward_envelope("n2", 3, fresh)))
+    effects = leader.on_envelope(roundtrip(wire.envelope("n2", wire.FORWARD, (3, fresh))))
     assert list(leader.forwarded) == list(fresh)
     net._pump("n1", effects)
     assert list(leader.forwarded) == []
@@ -480,20 +488,20 @@ def test_an_op_that_missed_the_leaders_batch_is_forwarded_once_per_leader(memory
     assert list(n1.forwarded) == [Entry("n2", 2, Write("j", "w"))] and ("n2", "j") not in net.responses
     net.blocked.clear()
     forwards = [e for e in n2.on_peer_connected("n1") if e.envelope["kind"] == wire.FORWARD]
-    assert [(e.peer, wire.parse_envelope(roundtrip(e.envelope), len(n1.log))[2]) for e in forwards] == [
+    assert [(e.peer, wire.parse_envelope(roundtrip(e.envelope))[2]) for e in forwards] == [
         ("n1", (len(n2.log), (Entry("n2", 2, Write("j", "w")),)))]
 
 
 def candidacy(uid: str, counter: int) -> dict:
     """A DELTA from ``uid`` that opens its ballot ``counter`` in epoch 0."""
     election = VotingState.of((uid, uid))
-    return roundtrip(wire.delta_envelope(uid, (Epoch(0, PaxosState(MergeMap(
+    return roundtrip(wire.envelope(uid, wire.DELTA, (Epoch(0, PaxosState(MergeMap(
         {BallotNum(uid, counter): PaxosRound(leader_election=election)}))),)))
 
 
 def forwards(effects) -> list:
     """``(leader, entries)`` of every FORWARD among ``effects``."""
-    return [(e.peer, wire.parse_envelope(roundtrip(e.envelope), 0)[2][1]) for e in effects
+    return [(e.peer, wire.parse_envelope(roundtrip(e.envelope))[2][1]) for e in effects
             if isinstance(e, SendToPeer) and e.envelope["kind"] == wire.FORWARD]
 
 
@@ -523,11 +531,29 @@ def test_a_forward_that_repeats_an_entry_is_taken_once(memory_net):
     # n1's proposals are cut off, so what it takes stays forwarded
     net.blocked = {("n1", "n2"), ("n1", "n3")}
     for batch in ((k, k, j), (j, k)):
-        net._pump("n1", n1.on_envelope(roundtrip(wire.forward_envelope("n2", 1, batch))))
+        net._pump("n1", n1.on_envelope(roundtrip(wire.envelope("n2", wire.FORWARD, (1, batch)))))
     assert list(n1.forwarded) == [k, j]
     net.blocked.clear()
     net.connect_all()
     assert n1.log[-1] == (k, j) and not n1.forwarded
+
+
+def test_a_forward_of_the_receivers_own_entry_is_not_taken(memory_net):
+    net = memory_net
+    assert net.put("n1", "a", "1") == {"status": "ok"}
+    n1 = net.cores["n1"]
+    own = Entry("n1", 2, Write("k", "v"))
+    # n1's proposal is cut off, so its entry stays pending
+    net.blocked = {("n1", "n2"), ("n1", "n3")}
+    net._pump("n1", n1.on_client_request(("n1", "k"), {"op": "put", "key": "k", "value": "v"}))
+    assert list(n1.pending) == [own]
+    # a peer hands n1 its own pending entry: n1 holds it once
+    net._pump("n1", n1.on_envelope(roundtrip(wire.envelope("n2", wire.FORWARD, (1, (own,))))))
+    assert list(n1.forwarded) == [] and n1._batch() == (own,)
+    net.blocked.clear()
+    net.connect_all()
+    assert net.responses.pop(("n1", "k")) == {"status": "ok"}
+    assert n1.log[-1] == (own,)
 
 
 def test_an_op_forwarded_before_its_head_was_answered_keeps_the_election_timer_running(memory_net):
@@ -672,15 +698,15 @@ def test_malformed_forwards_are_dropped():
     core = ServerCore("n1", ("n2", "n3"))
     for frame in MALFORMED_FORWARDS:
         with pytest.raises(ValueError):
-            wire.parse_envelope(roundtrip(frame), 0)
+            wire.parse_envelope(roundtrip(frame))
         assert core.on_envelope(roundtrip(frame)) == []
         assert list(core.forwarded) == []
         assert core.state == core.protocol.bottom()
     # the well-formed forward is taken, but a core that owns no ballot
     # leaves forwarded ops to the owner and opens none
-    assert wire.parse_envelope(roundtrip(wire.forward_envelope("n2", 0, BATCH)), 0) == (
-        "n2", wire.FORWARD, (0, BATCH))
-    assert core.on_envelope(roundtrip(wire.forward_envelope("n2", 0, BATCH))) == []
+    forward = roundtrip(wire.envelope("n2", wire.FORWARD, (0, BATCH)))
+    assert wire.parse_envelope(forward) == ("n2", wire.FORWARD, (0, BATCH))
+    assert core.on_envelope(forward) == []
     assert list(core.forwarded) == list(BATCH)
     assert core.state == core.protocol.bottom()
 
@@ -706,11 +732,11 @@ def test_rejoining_node_receives_only_the_missed_suffix():
     net.blocked.clear()
     net._pump("n3", rejoiner.on_peer_connected("n1"))
     net._pump("n1", net.cores["n1"].on_peer_connected("n3"))
-    responses = [f["payload"] for f in received if f["kind"] == wire.SYNC_RESPONSE]
+    responses = [wire.parse_envelope(f)[2] for f in received if f["kind"] == wire.SYNC_RESPONSE]
     assert responses
-    for payload in responses:
-        assert payload["from"] == before
-        assert len(payload["log"]) <= missed
+    for _, start, batches in responses:
+        assert start == before
+        assert len(batches) <= missed
     assert rejoiner.decided_ops == net.cores["n1"].decided_ops
     assert rejoiner.state.counter == len(rejoiner.decided_ops) == before + missed
     assert net.get("n3", "k0") == {"status": "ok", "value": "new"}
@@ -727,11 +753,20 @@ def test_sync_suffix_overlapping_the_log_adopts_only_the_new_entries():
     assert len(behind.decided_ops) == 2
     # the suffix starts at 1, below the receiver's length 2: entry 1 is
     # already decided here, so only entries 2 and 3 are appended
-    response = roundtrip(wire.sync_response_envelope("n1", donor.state, donor.log, 1))
-    assert len(response["payload"]["log"]) == 3
+    response = roundtrip(wire.envelope("n1", wire.SYNC_RESPONSE, (donor.state, 1, tuple(donor.log[1:]))))
+    assert len(wire.parse_envelope(response)[2][2]) == 3
     behind.on_envelope(response)
     assert behind.decided_ops == donor.decided_ops
     assert behind.state.counter == len(behind.log) == 4
+    # a non-batch below the receiver's length drops the whole response:
+    # a payload decodes whole or not at all
+    behind = ServerCore("n3", ("n1", "n2"))
+    behind.log = donor.log[:2]
+    batches = tup({"t": "set", "v": []}, *(codec.encode(batch) for batch in donor.log[1:]))
+    hostile = roundtrip({"kind": wire.SYNC_RESPONSE, "sender": "n1",
+                         "payload": tup(codec.encode(donor.state), 0, batches)})
+    assert behind.on_envelope(hostile) == []
+    assert behind.log == donor.log[:2] and behind.state == behind.protocol.bottom()
 
 
 def test_restarted_node_recovers_via_connect(memory_net):

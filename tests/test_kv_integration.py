@@ -236,7 +236,7 @@ def test_a_node_whose_state_turns_invalid_fails_stop():
         round_ = PaxosRound(leader_election=VotingState.of(("n2", "n2")), proposals=proposals)
         delta = Epoch(0, PaxosState(MergeMap({BallotNum("n2", 1): round_})))
         with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
-            sock.sendall(wire.encode_frame(wire.delta_envelope("n2", (delta,))))
+            sock.sendall(wire.encode_frame(wire.envelope("n2", wire.DELTA, (delta,))))
             assert proc.wait(timeout=5) != 0
         assert "replicated state became Invalid" in proc.stderr.read()
     finally:
@@ -303,7 +303,7 @@ def test_a_peer_that_never_reads_cannot_stall_the_node():
             with KvClient("127.0.0.1", p1) as client:
                 for i in range(200):
                     assert client.put(f"k{i}", "v") == {"status": "ok"}
-                request = wire.encode_frame(wire.sync_request_envelope("n3", 0))
+                request = wire.encode_frame(wire.envelope("n3", wire.SYNC_REQUEST, 0))
                 with socket.create_connection(("127.0.0.1", p1), timeout=5) as flood:
                     flood.sendall(request * 2000)
                     for i in range(50):

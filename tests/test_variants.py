@@ -21,7 +21,6 @@ from prdt.protocols.variants import (
     MultiPaxos,
     ReconfigurablePaxos,
     SequencePaxos,
-    leader_of,
 )
 from prdt.protocols.voting import Membership, VotingState
 
@@ -51,6 +50,15 @@ def invalid_inner() -> PaxosState:
     return state_of(
         (BallotNum("r1", 1), round_of(proposal_votes=[("r2", "a"), ("r2", "b")])),
     )
+
+
+def leader_of(state: PaxosState, membership: Membership):
+    """The confirmed leader of the highest round of ``state`` that has one."""
+    for _, round_ in reversed(state.rounds.entries):
+        leader = round_.leader(membership)
+        if leader is not None:
+            return leader
+    return None
 
 
 # -- leader_of ---------------------------------------------------------
