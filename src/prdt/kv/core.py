@@ -32,17 +32,39 @@ Invalid raises: the state can never be valid again, so the caller must
 fail stop.
 
 The deltas an event produces are joined per epoch and kept in epoch
-order, and leave as one DELTA envelope per peer. The receiver checks
-every part, then absorbs them in order, progressing after each, so a
-follower's acceptance in epoch c and its first act in epoch c+1 share a
-frame without the advance hiding the decision of c. A core that advances
-as the owner of the new seed round with nothing pending or forwarded
-holds its own seed vote: no follower needs it (each casts its own, and
-the leader needs only one of theirs), so it is not sent while it is all
-that is queued. It leaves in the core's next DELTA, normally its
-proposal in that epoch, joined into the same part, or on the next tick;
-a reconnect's full-state push carries it too. Holding a delta is only
-delaying a message.
+order, and leave as one DELTA envelope, sent to each recipient. The
+receiver checks every part, then absorbs them in order, progressing
+after each, so a follower's acceptance in epoch c and its first act in
+epoch c+1 share a frame without the advance hiding the decision of c.
+
+Knowledge only accumulates, so who receives a delta changes no
+decision, only how soon a peer learns it. Every DELTA names the leader
+its sender hears directly, or None: the owner of the sender's current
+ballot, if a DELTA from that peer arrived while it owned the current
+ballot, in the current epoch or the one before (the forwarding rule
+below counts any frame from the peer). With a quorum of two (three
+nodes or fewer), the leader's vote and a follower's own decide an
+epoch, so a follower that hears the leader sends its DELTA to the
+leader, to each peer whose last DELTA did not say it hears the same
+leader, and to each peer it has not yet told that it does: the two
+followers of a healthy three-node cluster tell each other nothing. The
+leader, a core that hears no leader and every larger membership send to
+every peer. A peer cut off from the leader hears no one and says so, so
+it keeps getting every delta through the middle. A follower cut off
+silently (its link to the leader died after the leader's last frame)
+catches up on a reconnect or through its own election timer: it
+campaigns in its stale epoch, and a peer that gets a DELTA whose parts
+all lie below its own epoch, and whose sender owns the highest ballot
+of the last part, answers with its whole state; the hole that opens is
+filled by a sync. Any other stale DELTA is absorbed silently.
+
+A core that advances as the owner of the new seed round with nothing
+pending or forwarded holds its own seed vote: no follower needs it
+(each casts its own, and the leader needs only one of theirs), so it is
+not sent while it is all that is queued. It leaves in the core's next
+DELTA, normally its proposal in that epoch, joined into the same part,
+or on the next tick; a reconnect's full-state push carries it too.
+Holding a delta is only delaying a message.
 
 Client requests queue in arrival order, each as an entry: the node's id,
 a per-core request counter and the operation. Everything queued is
@@ -110,7 +132,8 @@ class ServerCore:
         self.uid = uid
         self.peers = tuple(peer_ids)
         self.ctx = ReplicaContext(uid)
-        self.protocol = MultiPaxos(Membership(frozenset((uid,) + self.peers)))
+        membership = Membership(frozenset((uid,) + self.peers))
+        self.protocol = MultiPaxos(membership)
         # taken once: a Consensus delegator set as ``protocol`` later
         # forwards only the contract's methods
         self._check_state = self.protocol.check_state
@@ -135,6 +158,17 @@ class ServerCore:
         self._forwarded_to = (None, 0)
         # each peer's last envelope: our epoch counter when it arrived
         self._heard: dict = {}
+        # With a quorum of two, the leader's vote and a follower's own
+        # decide, so a follower that hears the leader skips each peer
+        # that it has told so and that hears the same leader.
+        self._broadcast = membership.quorum != 2
+        # each peer's last DELTA while it owned our current ballot: our
+        # epoch counter then
+        self._led: dict = {}
+        # the leader each peer's last DELTA said it hears, and the one
+        # our last DELTA to each peer said we hear
+        self._peer_hears: dict = {}
+        self._told: dict = {}
         self._upkept = None  # the state upkeep last ran on
         # The deltas generated while handling the current event, joined
         # per epoch in epoch order; flushed as one envelope per peer when
@@ -173,10 +207,18 @@ class ServerCore:
                 raise ValueError(f"envelope from a non-peer: {sender!r}")
             self._heard[sender] = self.state.counter
             if kind == wire.DELTA:
-                for part in body:
+                parts, hears = body
+                for part in parts:
                     self._check_state(part, wire.is_batch)
-                for part in body:
+                self._peer_hears[sender] = hears
+                stale = parts[-1].counter < self.state.counter
+                for part in parts:
                     self._absorb(part, sender, effects)
+                if self._leader(self.state) == sender:
+                    self._led[sender] = self.state.counter
+                if stale and self._leader(parts[-1]) == sender:
+                    # a stale node campaigns: it may hear no one else
+                    self._push_state(sender, effects)
             elif kind == wire.SYNC_REQUEST:
                 # ship only the log suffix the requester lacks
                 start = min(body, len(self.log))
@@ -209,7 +251,7 @@ class ServerCore:
         effects: List = []
         self._asked.discard(peer)
         self._request_sync(peer, effects)
-        effects.append(SendToPeer(peer, wire.envelope(self.uid, wire.DELTA, (self.state,))))
+        self._push_state(peer, effects)
         # So may a forward to the leader: send it again.
         if peer == self._leader(self.state):
             self._forwarded_to = (None, 0)
@@ -260,16 +302,34 @@ class ServerCore:
             out.append(delta)
         return True
 
+    def _hears(self) -> Optional[str]:
+        """The owner of our current ballot if it is a peer whose DELTA
+        arrived while it owned our current ballot, in this epoch or the
+        one before; else None."""
+        owner = self._leader(self.state)
+        if owner in self._led and self._led[owner] >= self.state.counter - 1:
+            return owner
+        return None
+
+    def _push_state(self, peer: str, effects: List) -> None:
+        """Send ``peer`` our whole state, which is a valid delta."""
+        hears = self._told[peer] = self._hears()
+        effects.append(SendToPeer(peer, wire.envelope(self.uid, wire.DELTA, (self.state,), hears)))
+
     def _flush(self, effects: List) -> List:
-        """Emit the event's deltas as one envelope per peer, unless all
-        that is queued is a held seed vote."""
+        """Emit the event's deltas as one envelope to each recipient,
+        unless all that is queued is a held seed vote."""
         out = self._outgoing
         if out and not (len(out) == 1 and out[0] is self._held):
-            envelope = wire.envelope(self.uid, wire.DELTA, tuple(out))
+            hears = self._hears()
+            envelope = wire.envelope(self.uid, wire.DELTA, tuple(out), hears)
             self._outgoing = []
             self._held = None
             for peer in self.peers:
-                effects.append(SendToPeer(peer, envelope))
+                if (hears is None or self._broadcast or peer == hears
+                        or self._peer_hears.get(peer) != hears or self._told.get(peer) != hears):
+                    self._told[peer] = hears
+                    effects.append(SendToPeer(peer, envelope))
         return effects
 
     def _absorb(self, incoming, sender: str, effects: List) -> None:

@@ -6,7 +6,10 @@ codec document: the canonical encoding of the kind's body, built by
 ``envelope`` and decoded whole by ``parse_envelope``. The bodies:
 
 - DELTA: a non-empty tuple of deltas, one per epoch in epoch order, which
-  the receiver absorbs in that order (a full state is a delta too);
+  the receiver absorbs in that order (a full state is a delta too). The
+  envelope also names ``hears``: the leader its sender hears directly, a
+  replica id, or null. An absent field reads as null, and any other
+  value drops the frame;
 - SYNC_REQUEST: ``have``, how many decided epochs the requester holds;
 - SYNC_RESPONSE: ``(state, start, batches)``, the responder's state and
   the batches of its log from epoch ``start`` onwards;
@@ -106,9 +109,13 @@ for _tag in ("p", "g"):
     codec.register(Entry, _tag, _encode_entry, _decode_entry)
 
 
-def envelope(sender: str, kind: str, body) -> dict:
-    """A peer frame whose payload is ``body`` as one codec document."""
-    return {"sender": sender, "kind": kind, "payload": codec.encode(body)}
+def envelope(sender: str, kind: str, body, hears=None) -> dict:
+    """A peer frame whose payload is ``body`` as one codec document; a
+    DELTA also names ``hears``, the leader its sender hears, or None."""
+    frame = {"sender": sender, "kind": kind, "payload": codec.encode(body)}
+    if kind == DELTA:
+        frame["hears"] = hears
+    return frame
 
 
 def _log_index(value) -> int:
@@ -120,7 +127,8 @@ def _log_index(value) -> int:
 
 def parse_envelope(frame) -> tuple:
     """``(sender, kind, body)`` of a peer frame: its payload decoded once,
-    then the body's shape checked for its kind (see above)."""
+    then the body's shape checked for its kind (see above). A DELTA's
+    body comes back as ``(parts, hears)``; an absent ``hears`` is None."""
     if not isinstance(frame, dict) or frame.get("kind") not in KINDS or "sender" not in frame:
         raise ValueError(f"malformed envelope: {frame!r}")
     sender, kind = frame["sender"], frame["kind"]
@@ -130,7 +138,10 @@ def parse_envelope(frame) -> tuple:
     if type(body) is not tuple or not body:
         raise ValueError(f"a {kind} payload is not a non-empty tuple")
     if kind == DELTA:
-        return sender, kind, body
+        hears = frame.get("hears")
+        if hears is not None and type(hears) is not str:
+            raise ValueError(f"a delta names {hears!r} as the leader it hears")
+        return sender, kind, (body, hears)
     if kind == FORWARD:
         if len(body) != 2 or not is_batch(body[1]):
             raise ValueError("a forward payload is not a pair (have, batch)")
