@@ -71,10 +71,6 @@ def agreement_leq(x: Agreement, y: Agreement) -> bool:
     return agreement_join(x, y) == y
 
 
-def is_decided(x: Agreement) -> bool:
-    return isinstance(x, Decided)
-
-
 @dataclass(frozen=True)
 class ReplicaContext:
     """Identity of the local process; constant for the replica's lifetime."""

@@ -69,15 +69,16 @@ Holding a delta is only delaying a message.
 Client requests queue in arrival order, each as an entry: the node's id,
 a per-core request counter and the operation. Everything queued is
 proposed at once, and pending entries are re-proposed every epoch until
-the log accepts them. A decided batch is applied one operation at a
-time, and each entry this core holds as pending answers the request it
-names. Reads are answered from the map the log applies to, so a read
-behind a write of its key in one batch sees that write. An election
-timer restarts the ballot when the head request makes no progress. The
-counter restarts with the process, like the rest of the core's state
-(ROADMAP item 2): an entry from before a restart then answers a new
-request only if origin, counter and operation all agree. Keeping the
-counter across a restart waits for item 2's checkpoint.
+the log accepts them. A decided batch takes effect one entry at a time
+through ``wire.apply``, which returns the response the entry's operation
+earns, and each entry this core holds as pending answers the request it
+names with that response, so a read behind a write of its key in one
+batch sees that write. An election timer restarts the ballot when the
+head request makes no progress. The counter restarts with the process,
+like the rest of the core's state (ROADMAP item 2): an entry from before
+a restart then answers a new request only if origin, counter and
+operation all agree. Keeping the counter across a restart waits for
+item 2's checkpoint.
 
 A core with pending entries whose leader (the owner of the current
 epoch's highest ballot) is another peer opens no ballot: it sends that
@@ -94,14 +95,17 @@ ordered set, after its own pending ones. It drops one it originated
 decided past the sender's length, and drops each as the log decides it.
 Only the owner of the current ballot proposes them.
 
-The core knows no protocol internals and no payload format: beside the
-consensus contract it calls the protocol's ``check_state`` on every peer
-state before a merge, its ``restart`` on an election timeout and its
-``leader`` before proposing. Every payload is one codec document:
+The core knows no protocol internals, no payload format and no
+operation semantics: beside the consensus contract it calls the
+protocol's ``check_state`` on every peer state before a merge, its
+``restart`` on an election timeout and its ``leader`` before proposing.
+Every payload is one codec document, ``hears`` included:
 ``wire.envelope`` encodes each body it sends, ``wire.parse_envelope``
 decodes and shape-checks each frame, and the core judges only where a
-body meets its own log. Both ``check_state`` and ``wire`` raise only
-``ValueError``, so a malformed frame is dropped and never stops a node.
+body meets its own log. Entries are opaque to it; ``wire.apply`` gives
+each decided operation its effect on ``values`` and its response. Both
+``check_state`` and ``wire`` raise only ``ValueError``, so a malformed
+frame is dropped and never stops a node.
 """
 
 from __future__ import annotations
@@ -112,7 +116,6 @@ from typing import Any, List, Optional
 from ..kernel import Decided, Invalid, ReplicaContext
 from ..protocols import Membership, MultiPaxos
 from . import wire
-from .wire import Write
 
 
 @dataclass(frozen=True)
@@ -314,7 +317,7 @@ class ServerCore:
     def _push_state(self, peer: str, effects: List) -> None:
         """Send ``peer`` our whole state, which is a valid delta."""
         hears = self._told[peer] = self._hears()
-        effects.append(SendToPeer(peer, wire.envelope(self.uid, wire.DELTA, (self.state,), hears)))
+        effects.append(SendToPeer(peer, wire.envelope(self.uid, wire.DELTA, (hears, self.state))))
 
     def _flush(self, effects: List) -> List:
         """Emit the event's deltas as one envelope to each recipient,
@@ -322,7 +325,7 @@ class ServerCore:
         out = self._outgoing
         if out and not (len(out) == 1 and out[0] is self._held):
             hears = self._hears()
-            envelope = wire.envelope(self.uid, wire.DELTA, tuple(out), hears)
+            envelope = wire.envelope(self.uid, wire.DELTA, (hears, *out))
             self._outgoing = []
             self._held = None
             for peer in self.peers:
@@ -416,17 +419,9 @@ class ServerCore:
     def _append_decided(self, batch, effects: List) -> None:
         self.log.append(batch)
         for entry in batch:
-            op = entry.op
-            if isinstance(op, Write):
-                self.values[op.key] = op.value
+            response = wire.apply(self.values, entry.op)
             self.forwarded.pop(entry, None)
             if entry in self.pending:
-                if isinstance(op, Write):
-                    response = wire.ok_response()
-                elif op.key in self.values:
-                    response = wire.ok_response(self.values[op.key])
-                else:
-                    response = wire.not_found_response()
                 effects.append(Respond(self.pending.pop(entry), response))
                 self._last_proposal_key = None
                 self.election_deadline = None

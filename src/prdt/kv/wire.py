@@ -5,11 +5,10 @@ DELTA, SYNC_REQUEST, SYNC_RESPONSE or FORWARD. Every payload is one
 codec document: the canonical encoding of the kind's body, built by
 ``envelope`` and decoded whole by ``parse_envelope``. The bodies:
 
-- DELTA: a non-empty tuple of deltas, one per epoch in epoch order, which
-  the receiver absorbs in that order (a full state is a delta too). The
-  envelope also names ``hears``: the leader its sender hears directly, a
-  replica id, or null. An absent field reads as null, and any other
-  value drops the frame;
+- DELTA: ``(hears, part, ...)``: the leader its sender hears directly,
+  a replica id or None, then one or more deltas, one per epoch in epoch
+  order, which the receiver absorbs in that order (a full state is a
+  delta too);
 - SYNC_REQUEST: ``have``, how many decided epochs the requester holds;
 - SYNC_RESPONSE: ``(state, start, batches)``, the responder's state and
   the batches of its log from epoch ``start`` onwards;
@@ -27,11 +26,13 @@ by ``{status, value?}`` responses. Duplicated or reordered peer frames
 are harmless by construction: merging is idempotent and commutative, and
 a receiver adopts only the suffix entries past its own log.
 
-This module owns the payload formats: ``parse_envelope`` decodes every
-peer payload and checks its body's shape, and ``parse_request`` reads
-every client request; both raise ``ValueError`` and nothing else on any
-JSON value. States come back decoded but not shape-checked: the protocol
-checks its own state, and the core judges where a body meets its log.
+This module owns the payload formats and the operations' meaning:
+``parse_envelope`` decodes every peer payload and checks its body's
+shape, ``parse_request`` reads every client request, and ``apply`` is
+the one place a decided operation takes effect. The two parsers raise
+``ValueError`` and nothing else on any JSON value. States come back
+decoded but not shape-checked: the protocol checks its own state, and
+the core judges where a body meets its log.
 """
 
 from __future__ import annotations
@@ -109,13 +110,9 @@ for _tag in ("p", "g"):
     codec.register(Entry, _tag, _encode_entry, _decode_entry)
 
 
-def envelope(sender: str, kind: str, body, hears=None) -> dict:
-    """A peer frame whose payload is ``body`` as one codec document; a
-    DELTA also names ``hears``, the leader its sender hears, or None."""
-    frame = {"sender": sender, "kind": kind, "payload": codec.encode(body)}
-    if kind == DELTA:
-        frame["hears"] = hears
-    return frame
+def envelope(sender: str, kind: str, body) -> dict:
+    """A peer frame whose payload is ``body`` as one codec document."""
+    return {"sender": sender, "kind": kind, "payload": codec.encode(body)}
 
 
 def _log_index(value) -> int:
@@ -128,7 +125,7 @@ def _log_index(value) -> int:
 def parse_envelope(frame) -> tuple:
     """``(sender, kind, body)`` of a peer frame: its payload decoded once,
     then the body's shape checked for its kind (see above). A DELTA's
-    body comes back as ``(parts, hears)``; an absent ``hears`` is None."""
+    body comes back as ``(parts, hears)``."""
     if not isinstance(frame, dict) or frame.get("kind") not in KINDS or "sender" not in frame:
         raise ValueError(f"malformed envelope: {frame!r}")
     sender, kind = frame["sender"], frame["kind"]
@@ -138,10 +135,9 @@ def parse_envelope(frame) -> tuple:
     if type(body) is not tuple or not body:
         raise ValueError(f"a {kind} payload is not a non-empty tuple")
     if kind == DELTA:
-        hears = frame.get("hears")
-        if hears is not None and type(hears) is not str:
-            raise ValueError(f"a delta names {hears!r} as the leader it hears")
-        return sender, kind, (body, hears)
+        if len(body) < 2 or (body[0] is not None and type(body[0]) is not str):
+            raise ValueError("a delta payload is not (hears, part, ...)")
+        return sender, kind, (body[1:], body[0])
     if kind == FORWARD:
         if len(body) != 2 or not is_batch(body[1]):
             raise ValueError("a forward payload is not a pair (have, batch)")
@@ -168,13 +164,15 @@ def parse_request(frame):
     raise ValueError(f"malformed request: {frame!r}")
 
 
-def ok_response(value=None) -> dict:
-    if value is None:
+def apply(values: dict, op) -> dict:
+    """Apply a decided ``op`` to ``values``, the map the log applies to,
+    and return the client response it earns: a read sees every write
+    applied before it."""
+    if type(op) is Write:
+        values[op.key] = op.value
         return {"status": "ok"}
-    return {"status": "ok", "value": value}
-
-
-def not_found_response() -> dict:
+    if op.key in values:
+        return {"status": "ok", "value": values[op.key]}
     return {"status": "not_found"}
 
 

@@ -10,7 +10,7 @@ from collections import deque
 
 import pytest
 
-from prdt import sim
+from prdt import codec, sim
 from prdt.kernel import Consensus, ReplicaContext
 from prdt.kv import wire
 from prdt.kv.core import Respond, SendToPeer, ServerCore
@@ -125,14 +125,18 @@ for _ in range(400):
     NESTED_TUPS = {"t": "tup", "v": [NESTED_TUPS]}
 
 
-def one_part(state_doc) -> dict:
-    """A DELTA payload of one part: the encoded 1-tuple of ``state_doc``."""
-    return {"t": "tup", "v": [state_doc]}
+def delta_frame(sender: str, *parts, hears=None) -> dict:
+    """A DELTA frame from ``sender`` as it arrives off the wire: its payload
+    is the document of the body ``(hears, *parts)``. A part that is a
+    dict is taken as a document already, so a test can write a hostile
+    one; any other part is encoded. ``hears`` goes in as it is."""
+    docs = [part if type(part) is dict else codec.encode(part) for part in parts]
+    return {"sender": sender, "kind": wire.DELTA, "payload": {"t": "tup", "v": [hears, *docs]}}
 
 
-# wrapped as DELTA payloads, so each still reaches decode and the shape check
-HOSTILE_PAYLOADS = tuple(
-    one_part(p) for p in (UNORDERED_ROUND_KEYS, MEMBERS_VOTED_IN_A_ROUND, NESTED_TUPS))
+# each the one part of a DELTA, so each still reaches decode and the shape check
+HOSTILE_DELTAS = tuple(
+    delta_frame("n2", p) for p in (UNORDERED_ROUND_KEYS, MEMBERS_VOTED_IN_A_ROUND, NESTED_TUPS))
 
 
 # -- in-process KV cluster ----------------------------------------------

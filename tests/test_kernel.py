@@ -1,4 +1,4 @@
-"""The agreement lattice: join, order, and the decided test."""
+"""The agreement lattice: join and order."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from prdt.kernel import (
     UNDECIDED,
     agreement_join,
     agreement_leq,
-    is_decided,
 )
 
 
@@ -49,10 +48,4 @@ def test_agreement_join_is_a_semilattice(a, b, c):
 @given(agreements, agreements)
 def test_leq_matches_join(a, b):
     assert agreement_leq(a, b) == (agreement_join(a, b) == b)
-
-
-def test_is_decided():
-    assert is_decided(Decided("x"))
-    assert not is_decided(UNDECIDED)
-    assert not is_decided(INVALID)
 

@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from conftest import HOSTILE_PAYLOADS, MemoryNet, one_part
+from conftest import HOSTILE_DELTAS, MemoryNet, delta_frame
 from prdt import codec
 from prdt.kernel import Consensus
 from prdt.kv import wire
@@ -21,24 +21,18 @@ from prdt.protocols.voting import VotingState
 
 EMPTY_VOTING = {"t": "voting", "v": {"t": "set", "v": []}}
 BOTTOM_STATE = {"t": "epoch", "n": 0, "v": {"t": "paxos", "rounds": {"t": "map", "v": []}}}
-WRONG_INNER_STATE = {
-    "kind": "DELTA", "sender": "n2",
-    "payload": one_part({"t": "epoch", "n": 5, "v": {"t": "set", "v": []}}),
-}
-STRING_ROUND_KEY = {
-    "kind": "DELTA", "sender": "n2",
-    "payload": one_part({"t": "epoch", "n": 0, "v": {"t": "paxos", "rounds": {"t": "map", "v": [
+WRONG_INNER_DOC = {"t": "epoch", "n": 5, "v": {"t": "set", "v": []}}
+WRONG_INNER_STATE = delta_frame("n2", WRONG_INNER_DOC)
+STRING_ROUND_KEY = delta_frame(
+    "n2", {"t": "epoch", "n": 0, "v": {"t": "paxos", "rounds": {"t": "map", "v": [
         ["x", {"t": "round", "le": EMPTY_VOTING, "prop": EMPTY_VOTING}],
-    ]}}}),
-}
+    ]}}})
 BALLOT_N2_1 = {"t": "ballot", "uid": "n2", "n": 1}
 EMPTY_ROUND = {"t": "round", "le": EMPTY_VOTING, "prop": EMPTY_VOTING}
-REPEATED_ROUND_KEY = {
-    "kind": "DELTA", "sender": "n2",
-    "payload": one_part({"t": "epoch", "n": 0, "v": {"t": "paxos", "rounds": {"t": "map", "v": [
+REPEATED_ROUND_KEY = delta_frame(
+    "n2", {"t": "epoch", "n": 0, "v": {"t": "paxos", "rounds": {"t": "map", "v": [
         [BALLOT_N2_1, EMPTY_ROUND], [BALLOT_N2_1, EMPTY_ROUND],
-    ]}}}),
-}
+    ]}}})
 
 
 def tup(*docs) -> dict:
@@ -55,17 +49,15 @@ PUT_DOC = {"t": "put", "k": "k", "v": "v"}
 # n2's first request, a put of k=v, as a batch holds it
 ENTRY_DOC = {"t": "p", "o": "n2", "s": 1, "k": "k", "v": "v"}
 EPOCH_1_STATE = {"t": "epoch", "n": 1, "v": {"t": "paxos", "rounds": {"t": "map", "v": []}}}
-# a DELTA payload is a non-empty tuple of states: a bare state, an empty
-# tuple and a list are dropped, though the bare state would merge
-NOT_A_TUPLE_DELTAS = [
-    {"kind": "DELTA", "sender": "n2", "payload": payload}
-    for payload in (EPOCH_1_STATE, {"t": "tup", "v": []}, [EPOCH_1_STATE])
+# a DELTA payload is a tuple (hears, part, ...): hears with no part, a
+# bare state, an empty tuple and a list are dropped, though the bare
+# state would merge
+NOT_A_TUPLE_DELTAS = [delta_frame("n2")] + [
+    dict(delta_frame("n2"), payload=payload)
+    for payload in (EPOCH_1_STATE, {"t": "tup", "v": []}, [None, EPOCH_1_STATE])
 ]
 # one malformed part drops the whole frame, the well-formed parts with it
-BAD_SECOND_PART = {
-    "kind": "DELTA", "sender": "n2",
-    "payload": {"t": "tup", "v": [EPOCH_1_STATE, WRONG_INNER_STATE["payload"]["v"][0]]},
-}
+BAD_SECOND_PART = delta_frame("n2", EPOCH_1_STATE, WRONG_INNER_DOC)
 # log positions that are not non-negative ints, a response with no
 # start, or one that starts past our log; each batch is well formed, so
 # each frame is dropped for its log position alone
@@ -77,13 +69,17 @@ HOSTILE_SYNC_FRAMES = [
 ]
 
 
-def proposal_of(value_doc) -> dict:
-    """A DELTA whose epoch-0 round, led by n2, holds n2's vote for ``value_doc``."""
+def proposal_state(value_doc) -> dict:
+    """An epoch-0 state whose round, led by n2, holds n2's vote for ``value_doc``."""
     def voting(value):
         return {"t": "voting", "v": {"t": "set", "v": [{"t": "vote", "p": "n2", "v": value}]}}
     round_ = {"t": "round", "le": voting("n2"), "prop": voting(value_doc)}
-    return {"kind": "DELTA", "sender": "n2", "payload": one_part(
-        {"t": "epoch", "n": 0, "v": {"t": "paxos", "rounds": {"t": "map", "v": [[BALLOT_N2_1, round_]]}}})}
+    return {"t": "epoch", "n": 0, "v": {"t": "paxos", "rounds": {"t": "map", "v": [[BALLOT_N2_1, round_]]}}}
+
+
+def proposal_of(value_doc) -> dict:
+    """A DELTA from n2 whose one part is ``proposal_state(value_doc)``."""
+    return delta_frame("n2", proposal_state(value_doc))
 
 
 # an epoch decides a batch, a non-empty tuple of entries: a bare op
@@ -132,6 +128,20 @@ def test_logs_and_counters_converge(memory_net):
         assert core.state.counter == len(core.decided_ops)
 
 
+def test_apply_gives_each_op_its_effect_and_its_response():
+    values = {}
+    assert wire.apply(values, Read("k")) == {"status": "not_found"}
+    assert values == {}
+    assert wire.apply(values, Write("k", "v")) == {"status": "ok"}
+    assert values == {"k": "v"}
+    # a get after a put of its key in the same map sees the put
+    assert wire.apply(values, Read("k")) == {"status": "ok", "value": "v"}
+    assert wire.apply(values, Write("k", "w")) == {"status": "ok"}
+    assert wire.apply(values, Read("k")) == {"status": "ok", "value": "w"}
+    assert wire.apply(values, Read("j")) == {"status": "not_found"}
+    assert values == {"k": "w"}
+
+
 def test_bad_client_request_is_answered_not_crashed(memory_net):
     # keys and values must be strings: a put of ``true`` is not stored as "True"
     for frame in ({"op": "frobnicate"}, ["op"], {"op": "put", "key": "k", "value": True},
@@ -155,7 +165,7 @@ def test_one_coalesced_delta_per_peer():
 
 def test_duplicate_delta_is_silent(memory_net):
     memory_net.put("n1", "k", "v")
-    replay = roundtrip(wire.envelope("n2", wire.DELTA, (memory_net.cores["n2"].state,)))
+    replay = delta_frame("n2", memory_net.cores["n2"].state)
     before = memory_net.cores["n1"].state
     assert memory_net.cores["n1"].on_envelope(replay) == []
     assert memory_net.cores["n1"].state == before
@@ -181,16 +191,15 @@ def test_malformed_frames_are_dropped():
     core = ServerCore("n1", ("n2", "n3"))
     assert core.on_envelope({"kind": "NOPE", "sender": "n2"}) == []
     assert core.on_envelope({"kind": "DELTA"}) == []
-    assert core.on_envelope({"kind": "DELTA", "sender": "n2", "payload": {"t": "???"}}) == []
-    assert core.on_envelope({"kind": "DELTA", "sender": "n2", "payload": 42}) == []
+    assert core.on_envelope(dict(delta_frame("n2"), payload={"t": "???"})) == []
+    assert core.on_envelope(dict(delta_frame("n2"), payload=42)) == []
     assert core.on_envelope("not even a dict") == []
     assert core.on_envelope({"kind": "SYNC_REQUEST", "sender": "nX"}) == []
     assert core.on_envelope({"kind": "SYNC_REQUEST", "sender": ["x"]}) == []
     # decodable states of the wrong shape are dropped before any merge,
     # and so is a payload whose decoding fails with any error
-    hostile = [{"kind": "DELTA", "sender": "n2", "payload": p} for p in HOSTILE_PAYLOADS]
     for frame in (WRONG_INNER_STATE, STRING_ROUND_KEY, REPEATED_ROUND_KEY, NON_OP_SYNC_LOG,
-                  *HOSTILE_SYNC_FRAMES, *hostile, *NOT_A_TUPLE_DELTAS, BAD_SECOND_PART,
+                  *HOSTILE_SYNC_FRAMES, *HOSTILE_DELTAS, *NOT_A_TUPLE_DELTAS, BAD_SECOND_PART,
                   *NOT_A_BATCH):
         assert core.on_envelope(frame) == []
         assert core.state == core.protocol.bottom()
@@ -249,7 +258,7 @@ def test_epoch_hole_triggers_a_sync_request(memory_net):
     donor = memory_net.cores["n2"]
     assert donor.state.counter == 1
     fresh = ServerCore("n1", ("n2", "n3"))
-    effects = fresh.on_envelope(roundtrip(wire.envelope("n2", wire.DELTA, (donor.state,))))
+    effects = fresh.on_envelope(delta_frame("n2", donor.state))
     # the merge lands in epoch 1 with an empty log: epoch 0's decision
     # was never seen, so the core asks the sender for history
     wants_sync = [
@@ -279,7 +288,7 @@ def test_a_core_keeps_one_unanswered_sync_request_per_peer(memory_net):
     core = ServerCore("n1", ("n2", "n3"))
 
     def delta(sender, state):
-        return core.on_envelope(roundtrip(wire.envelope(sender, wire.DELTA, (state,))))
+        return core.on_envelope(delta_frame(sender, state))
 
     assert sync_requests(delta("n2", states[0])) == ["n2"]
     # the hole is still open, but n2 has not answered yet
@@ -307,7 +316,7 @@ def test_a_sync_request_lost_on_a_blocked_link_is_sent_again_after_a_tick():
     assert lagging.decided_ops == []
     # n3 hears from n1 only, and its request back to n1 is dropped
     net.blocked = {("n3", "n1"), ("n2", "n3"), ("n3", "n2")}
-    push = [SendToPeer("n3", wire.envelope("n1", wire.DELTA, (leader.state,)))]
+    push = [SendToPeer("n3", delta_frame("n1", leader.state))]
     net._pump("n1", push)
     assert lagging.state.counter == 2 and lagging.decided_ops == []
     net.blocked = {("n2", "n3"), ("n3", "n2")}
@@ -337,7 +346,7 @@ def test_a_leader_with_a_hole_leaves_its_head_unproposed():
     # have decided its put: it opens no ballot and casts no vote, and
     # only asks each sender for the log
     for voter in ("n2", "n3"):
-        effects = core.on_envelope(roundtrip(wire.envelope(voter, wire.DELTA, (epoch_1_vote(voter),))))
+        effects = core.on_envelope(delta_frame(voter, epoch_1_vote(voter)))
         assert [(e.peer, e.envelope["kind"]) for e in effects] == [(voter, wire.SYNC_REQUEST)]
     assert core.state.counter == 1 and core.decided_ops == []
     assert [ballot for ballot, _ in core.state.value.rounds.entries] == [candidacy]
@@ -353,7 +362,7 @@ def test_a_leader_with_a_hole_leaves_its_head_unproposed():
         ("n2", (1, (Entry("n1", 1, Write("k", "v")),)))]
     deltas = [env for _, env in sent if env["kind"] == wire.DELTA]
     assert len({json.dumps(env, sort_keys=True) for env in deltas}) == 1
-    [part] = codec.decode(deltas[0]["payload"])
+    (part,), _ = wire.parse_envelope(deltas[0])[2]
     assert part.counter == 1
     assert [ballot for ballot, _ in part.value.rounds.entries] == [candidacy]
     assert voters(part) == {"n1"}
@@ -367,7 +376,7 @@ def test_a_core_with_a_hole_does_not_vote_a_put_an_earlier_epoch_decided():
     # the seed round (n1, 0) and n2's vote for n1
     seed = Epoch(1, PaxosState(MergeMap({BallotNum("n1", 0): PaxosRound(
         leader_election=VotingState.of(("n2", "n1")))})))
-    answers += core.on_envelope(roundtrip(wire.envelope("n2", wire.DELTA, (seed,))))
+    answers += core.on_envelope(delta_frame("n2", seed))
     # the log n2's sync answer brings shows epoch 0 decided the put
     answers += core.on_envelope(roundtrip(
         wire.envelope("n2", wire.SYNC_RESPONSE, (seed, 0, ((Entry("n1", 1, Write("k", "v")),),)))))
@@ -385,7 +394,7 @@ def record_frames(net) -> tuple:
         def recording(frame, uid=uid, deliver=core.on_envelope):
             seen.append((frame["sender"], uid, frame["kind"]))
             if frame["kind"] == wire.DELTA:
-                parts.extend(codec.decode(frame["payload"]))
+                parts.extend(wire.parse_envelope(frame)[2][0])
             return deliver(frame)
         core.on_envelope = recording
     return seen, parts
@@ -495,8 +504,8 @@ def test_an_op_that_missed_the_leaders_batch_is_forwarded_once_per_leader(memory
 def candidacy(uid: str, counter: int) -> dict:
     """A DELTA from ``uid`` that opens its ballot ``counter`` in epoch 0."""
     election = VotingState.of((uid, uid))
-    return roundtrip(wire.envelope(uid, wire.DELTA, (Epoch(0, PaxosState(MergeMap(
-        {BallotNum(uid, counter): PaxosRound(leader_election=election)}))),)))
+    return delta_frame(uid, Epoch(0, PaxosState(MergeMap(
+        {BallotNum(uid, counter): PaxosRound(leader_election=election)}))))
 
 
 def forwards(effects) -> list:
@@ -860,21 +869,42 @@ def test_a_follower_behind_a_dead_leader_link_catches_up_through_its_own_electio
 
 
 def test_a_delta_naming_a_malformed_leader_is_dropped():
-    proposal = proposal_of({"t": "tup", "v": [ENTRY_DOC]})
-    assert "hears" not in proposal
-    for hears in (1, ["n2"], {"n": "n2"}):
-        frame = dict(proposal, hears=hears)
+    state = proposal_state({"t": "tup", "v": [ENTRY_DOC]})
+    # a DELTA body leads with hears, a replica id or None: an int, a list
+    # or a dict there drops the frame, and so do hears with no part and a
+    # body that leads with a state, which names no hears
+    dropped = [delta_frame("n2", state, hears=hears) for hears in (1, ["n2"], {"n": "n2"})]
+    dropped += [delta_frame("n2", hears="n2"), delta_frame("n2", state, hears=state)]
+    for frame in dropped:
         with pytest.raises(ValueError):
             wire.parse_envelope(frame)
         core = ServerCore("n1", ("n2", "n3"))
         assert core.on_envelope(frame) == []
         assert core.state == core.protocol.bottom()
-    # an absent field reads as null, and a DELTA without it is taken
-    assert wire.parse_envelope(proposal)[2][1] is None
-    for frame in (proposal, dict(proposal, hears=None), dict(proposal, hears="n2")):
+    for hears in (None, "n2"):
+        frame = delta_frame("n2", state, hears=hears)
+        assert wire.parse_envelope(frame)[2][1] == hears
         core = ServerCore("n1", ("n2", "n3"))
         core.on_envelope(frame)
         assert core.state != core.protocol.bottom()
+
+
+def test_every_peer_frame_holds_sender_kind_and_payload_alone():
+    net = MemoryNet()
+    keys, kinds = [], set()
+    for core in net.cores.values():
+        def recording(frame, deliver=core.on_envelope):
+            keys.append(set(frame))
+            kinds.add(frame["kind"])
+            return deliver(frame)
+        core.on_envelope = recording
+    net.connect_all()
+    assert net.put("n1", "a", "1") == {"status": "ok"}
+    assert net.put("n2", "b", "2") == {"status": "ok"}
+    assert net.get("n3", "a") == {"status": "ok", "value": "1"}
+    net.tick(0.6)
+    assert kinds == set(wire.KINDS)
+    assert keys and all(k == {"sender", "kind", "payload"} for k in keys)
 
 
 # Pinned at the commit before followers began to send their deltas to the

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import prdt
-from conftest import UNORDERED_ROUND_KEYS, one_part
+from conftest import UNORDERED_ROUND_KEYS, delta_frame
 from prdt.bench import main as bench_main
 from prdt.kv import cluster, wire
 from prdt.kv.client import KvClient, main as client_main
@@ -236,7 +236,7 @@ def test_a_node_whose_state_turns_invalid_fails_stop():
         round_ = PaxosRound(leader_election=VotingState.of(("n2", "n2")), proposals=proposals)
         delta = Epoch(0, PaxosState(MergeMap({BallotNum("n2", 1): round_})))
         with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
-            sock.sendall(wire.encode_frame(wire.envelope("n2", wire.DELTA, (delta,))))
+            sock.sendall(wire.encode_frame(delta_frame("n2", delta)))
             assert proc.wait(timeout=5) != 0
         assert "replicated state became Invalid" in proc.stderr.read()
     finally:
@@ -266,8 +266,7 @@ def test_a_payload_that_does_not_decode_leaves_the_node_up():
         host, port = addrs["n1"]
         with socket.create_connection((host, port), timeout=5) as sock:
             # map keys that do not compare: a ballot and a string
-            sock.sendall(wire.encode_frame({"sender": "n2", "kind": wire.DELTA,
-                                            "payload": one_part(UNORDERED_ROUND_KEYS)}))
+            sock.sendall(wire.encode_frame(delta_frame("n2", UNORDERED_ROUND_KEYS)))
             sock.sendall(wire.encode_frame({"op": "put", "key": "k", "value": "after"}))
             assert json.loads(sock.makefile("rb").readline()) == {"status": "ok"}
         with KvClient(host, port) as client:
