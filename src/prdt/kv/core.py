@@ -16,20 +16,18 @@ epoch. A replica whose epoch counter is ahead of its log length (the
 number of decided epochs) has a hole: it does not know what the hidden
 epochs decided, and they may have decided its pending entries. Its
 progress loop then takes no step (no upkeep, no proposal, no append)
-and only asks the peer it heard from for a sync, until a sync answer
-fills the log. A sync request carries the requester's log length; the
-response carries the state, the batches past that length and the
-position they start at. The receiver refuses a response that starts past
-its own log length and adopts the batches past that length, which may
-have grown while the response was in flight. A core keeps at most one
-unanswered sync request per peer: a hole found while one is out asks
-nothing more, and the peer is asked again only after its response
-arrives, after it reconnects, or after a tick.
-Undecided proposes every pending entry, in arrival order, then every
-forwarded one, as one batch, once per (epoch, head request); or forwards
-the pending ones to the leader (below).
-Invalid raises: the state can never be valid again, so the caller must
-fail stop.
+and only asks the peer it heard from for a sync, unless a request to
+that peer is still unanswered; each tick while the hole lasts sends
+every unanswered request again. Nothing else asks: a reconnect pushes
+state, and a peer the push shows to be behind finds its hole. A sync
+request carries the requester's log length; the response carries the
+state, the batches past that length and where they start. The receiver
+refuses one that starts past its log and adopts the batches past its
+log, which may have grown while the response was in flight. Undecided
+proposes every pending entry, in arrival order, then every forwarded
+one, as one batch, once per (epoch, head request); or forwards the
+pending ones to the leader (below). Invalid raises: the state can never
+be valid again, so the caller must fail stop.
 
 The deltas an event produces are joined per epoch and kept in epoch
 order, and leave as one DELTA envelope, sent to each recipient. The
@@ -55,8 +53,8 @@ silently (its link to the leader died after the leader's last frame)
 catches up on a reconnect or through its own election timer: it
 campaigns in its stale epoch, and a peer that gets a DELTA whose parts
 all lie below its own epoch, and whose sender owns the highest ballot
-of the last part, answers with its whole state; the hole that opens is
-filled by a sync. Any other stale DELTA is absorbed silently.
+of the last part, answers with its whole state, which shows it its
+hole. Any other stale DELTA is absorbed silently.
 
 A core that advances as the owner of the new seed round with nothing
 pending or forwarded holds its own seed vote: no follower needs it
@@ -166,22 +164,22 @@ class ServerCore:
         # that it has told so and that hears the same leader.
         self._broadcast = membership.quorum != 2
         # each peer's last DELTA while it owned our current ballot: our
-        # epoch counter then
+        # epoch counter then. Two records: ``_heard`` is set before a frame
+        # merges, so a forward follows at once; ``_led`` skips frames from
+        # before the peer led, which must not make us say we hear it.
         self._led: dict = {}
         # the leader each peer's last DELTA said it hears, and the one
         # our last DELTA to each peer said we hear
         self._peer_hears: dict = {}
         self._told: dict = {}
         self._upkept = None  # the state upkeep last ran on
-        # The deltas generated while handling the current event, joined
-        # per epoch in epoch order; flushed as one envelope per peer when
-        # the handler returns. Joining epochs would let the advance
-        # discard the evidence that decided the earlier one.
+        # the current event's deltas, joined per epoch in epoch order (a
+        # join across epochs would let the advance hide a decision)
         self._outgoing: List = []
         # an idle leader's own seed vote while it is all that is queued
         self._held = None
-        # peers with a sync request out and not yet answered
-        self._asked: set = set()
+        # peers asked for a sync and not yet answered, in the order asked
+        self._asked: dict = {}
 
     @property
     def decided_ops(self) -> List:
@@ -236,7 +234,7 @@ class ServerCore:
                     raise ValueError(f"sync suffix from {start} skips past our log")
                 self._check_state(state, wire.is_batch)
                 # answered: a hole this answer leaves open asks again
-                self._asked.discard(sender)
+                self._asked.pop(sender, None)
                 # the batches below our log length are decided here already
                 for batch in batches[len(self.log) - start:]:
                     self._append_decided(batch, effects)
@@ -248,14 +246,10 @@ class ServerCore:
         return self._flush(effects)
 
     def on_peer_connected(self, peer: str) -> List:
-        # Full state is a valid delta, so pushing it plus requesting the
-        # peer's own repairs both directions after a reconnect. A request
-        # sent before the reconnect may have died with the connection.
+        # Full state is a valid delta, and shows a peer that is behind its
+        # hole. A forward to the leader may have died with the link.
         effects: List = []
-        self._asked.discard(peer)
-        self._request_sync(peer, effects)
         self._push_state(peer, effects)
-        # So may a forward to the leader: send it again.
         if peer == self._leader(self.state):
             self._forwarded_to = (None, 0)
             self._progress(effects)
@@ -264,8 +258,9 @@ class ServerCore:
     def on_tick(self, now: float) -> List:
         self.now = now
         effects: List = []
-        # a request lost on the way is asked again after a tick
-        self._asked.clear()
+        if self.state.counter > len(self.log):
+            # while the hole lasts, a request lost on the way is sent again
+            self._request_sync(self._asked, effects)
         if self.pending and self.election_deadline is not None and now >= self.election_deadline:
             self._apply_local(self._restart(self.state, self.ctx))
             # the fresh ballot is this epoch's proposal of the head, also
@@ -279,12 +274,10 @@ class ServerCore:
 
     # -- internals ---------------------------------------------------
 
-    def _request_sync(self, peer: str, effects: List) -> None:
-        """Ask ``peer`` for its state and the log past our own length,
-        unless a request to it is still unanswered."""
-        if peer not in self._asked:
-            self._asked.add(peer)
-            effects.append(SendToPeer(peer, wire.envelope(self.uid, wire.SYNC_REQUEST, len(self.log))))
+    def _request_sync(self, peers, effects: List) -> None:
+        """Ask each of ``peers`` for its state and the log past our own."""
+        ask = wire.envelope(self.uid, wire.SYNC_REQUEST, len(self.log))
+        effects.extend(SendToPeer(peer, ask) for peer in peers)
 
     def _reset_election(self) -> None:
         self.election_deadline = self.now + self.election_timeout
@@ -347,8 +340,9 @@ class ServerCore:
         the epoch's decision until there is nothing left to do. With a
         hole it takes no step and asks ``sender``, if any, for a sync."""
         if self.state.counter > len(self.log):
-            if sender is not None:
-                self._request_sync(sender, effects)
+            if sender is not None and sender not in self._asked:
+                self._asked[sender] = None
+                self._request_sync((sender,), effects)
             return
         if self.state is not self._upkept:
             # Upkeep is a function of the state and the pending batch,

@@ -5,9 +5,9 @@ Every event (client request, peer envelope, peer connect, timer tick)
 enters the core through ``Server._run``, which carries out its effects.
 An exception from a handler is not caught, so a node whose state turns
 Invalid fails stop. Frames for a peer whose link is down are dropped:
-every (re)connect pushes the full state plus a sync request, which
-repairs whatever they carried. A connection whose unparsed input or
-unsent output grows past ``MAX_BUFFER`` is closed.
+every (re)connect pushes the full state, and a node it shows a hole
+asks for the log it lacks, again at each tick until answered. A
+connection whose input or output grows past ``MAX_BUFFER`` is closed.
 """
 
 from __future__ import annotations

@@ -65,9 +65,13 @@ codec.record(MergeAndUpkeep, "merge", "src", "dst")
 SimStep = Any
 
 
-def _check_steps(steps: Sequence[SimStep], replica_count: int) -> None:
-    """Raise ``ValueError`` unless every step is a ``Propose`` or a
-    ``MergeAndUpkeep`` whose slots are distinct ints in range."""
+def _check_steps(steps: Sequence[SimStep], replica_ids: Sequence[str]) -> None:
+    """Raise ``ValueError`` unless the replica ids are distinct strings
+    and every step is a ``Propose`` or a ``MergeAndUpkeep`` whose slots
+    are distinct ints in range."""
+    if (isinstance(replica_ids, str) or not all(type(r) is str for r in replica_ids)
+            or len(set(replica_ids)) != len(replica_ids)):
+        raise ValueError(f"replica ids are not distinct strings: {replica_ids!r}")
     for step in steps:
         if type(step) is Propose:
             slots = (step.slot,)
@@ -75,7 +79,7 @@ def _check_steps(steps: Sequence[SimStep], replica_count: int) -> None:
             slots = (step.src, step.dst)
         else:
             raise ValueError(f"malformed step {step!r}")
-        if not all(type(s) is int and 0 <= s < replica_count for s in slots):
+        if not all(type(s) is int and 0 <= s < len(replica_ids) for s in slots):
             raise ValueError(f"slot out of range in {step!r}")
 
 
@@ -101,13 +105,15 @@ def trace_from_json(doc: dict) -> RunTrace:
     """Inverse of ``RunTrace.to_json``; ``ValueError`` on a malformed
     document, including a step that ``replay`` would reject."""
     try:
+        if type(doc["seed"]) is not int or type(doc["replica_ids"]) is not list:
+            raise ValueError(f"malformed trace: seed {doc['seed']!r}, replica ids {doc['replica_ids']!r}")
         trace = RunTrace(doc["seed"], tuple(doc["replica_ids"]),
                          [codec.decode(step) for step in doc["steps"]],
                          [tuple(codec.decode(d) for d in row) for row in doc.get("decisions", [])],
                          list(doc.get("violations", [])))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed trace: {exc!r}") from exc
-    _check_steps(trace.steps, len(trace.replica_ids))
+    _check_steps(trace.steps, trace.replica_ids)
     return trace
 
 
@@ -291,7 +297,7 @@ def replay(protocol: Consensus, steps: Sequence[SimStep],
     """Run a step list from the initial states, once every step passes
     ``_check_steps``; returns the state array after each step. Replaying
     a recorded trace reproduces the run's final states exactly."""
-    _check_steps(steps, len(replica_ids))
+    _check_steps(steps, replica_ids)
     execution = Execution(protocol, replica_ids)
     snapshots = []
     for step in steps:

@@ -315,6 +315,47 @@ def test_a_peer_that_never_reads_cannot_stall_the_node():
                 sock.close()
 
 
+def test_a_restarted_node_answers_a_get_of_a_key_written_while_it_was_down():
+    """n3, then n2, is killed after some puts and restarted blank on its
+    own port. Its peers' links to it come back after its own, so the push
+    of a peer that reconnects shows it the hole, and it asks then. Each
+    node restarts once: a node's request counter restarts with the
+    process (ROADMAP item 10), so a second restart's first get would be
+    the first one's entry again."""
+    uids, ports = ("n1", "n2", "n3"), free_ports(3)
+    source_root = str(Path(prdt.__file__).resolve().parent.parent)
+    procs = {}
+
+    def start(uid, port):
+        peers = ",".join(f"{peer}=127.0.0.1:{p}" for peer, p in zip(uids, ports) if peer != uid)
+        procs[uid] = subprocess.Popen(
+            [sys.executable, "-m", "prdt.kv.server", "--id", uid, "--listen", f"127.0.0.1:{port}",
+             "--peers", peers],
+            stdout=subprocess.DEVNULL, env=dict(os.environ, PYTHONPATH=source_root),
+        )
+        wait_listening(uid, procs[uid], "127.0.0.1", port)
+
+    try:
+        for uid, port in zip(uids, ports):
+            start(uid, port)
+        with KvClient("127.0.0.1", ports[0]) as client:
+            for i in range(5):
+                assert client.put(f"k{i}", "before") == {"status": "ok"}
+        for uid in ("n3", "n2"):
+            procs[uid].kill()
+            procs[uid].wait()
+            with KvClient("127.0.0.1", ports[0]) as client:
+                assert client.put("k0", f"while-{uid}-down") == {"status": "ok"}
+            start(uid, ports[uids.index(uid)])
+            with KvClient("127.0.0.1", ports[uids.index(uid)], timeout=3) as client:
+                assert client.get("k0") == {"status": "ok", "value": f"while-{uid}-down"}
+                assert client.get("k4") == {"status": "ok", "value": "before"}
+    finally:
+        for proc in procs.values():
+            proc.kill()
+            proc.wait()
+
+
 def test_a_peer_dial_with_no_free_descriptor_is_retried_after_the_backoff(monkeypatch):
     listener = socket.create_server(("127.0.0.1", 0))
     server = Server("n1", ("127.0.0.1", 0), {"n2": listener.getsockname()})

@@ -162,6 +162,11 @@ def test_replay_rejects_malformed_traces(tmp_path):
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError):
             read_trace(str(path))
+    # replica ids are distinct strings: a string is not a list of ids,
+    # and two slots with one id would vote as one replica
+    for ids in ("r12", ("r1", "r1", "r2"), (1, 2, 3)):
+        with pytest.raises(ValueError):
+            replay(paxos3(), [Propose(0, "v")], ids)
 
 
 def test_trace_json_roundtrip(tmp_path):
@@ -204,6 +209,13 @@ def test_trace_json_rejects_unknown_step_kind(tmp_path):
     for key in good:
         with pytest.raises(ValueError):
             trace_from_json({k: v for k, v in good.items() if k != key})
+    # the seed is an int, not a bool, and the replica ids a list of
+    # distinct strings; each with no step, so the field alone is at fault
+    for key, bad in (("replica_ids", "r1"), ("replica_ids", ["r1", "r1", "r2"]),
+                     ("replica_ids", [1, 2]), ("seed", "x"), ("seed", True)):
+        with pytest.raises(ValueError):
+            trace_from_json(dict(good, steps=[], **{key: bad}))
+    assert trace_from_json(dict(good, steps=[])).replica_ids == IDS3
 
 
 def test_oracles_flag_invalid_and_disagreement():
