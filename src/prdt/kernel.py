@@ -109,6 +109,10 @@ class Consensus:
         raise NotImplementedError
 
     def upkeep(self, state, ctx: ReplicaContext, pending=None):
+        """The next useful step after a merge. ``pending`` is the value a
+        confirmed leader proposes when the protocol leaves it free to
+        choose; it is the key-value store's only path to a proposal, which
+        calls no ``propose``."""
         return self.bottom()
 
     def decision_instance(self, value):

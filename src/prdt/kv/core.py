@@ -9,25 +9,33 @@ effects are immutable values and safe to serialize elsewhere.
 The consensus instance is one epoch of a stable-leader protocol per log
 entry, and the value an epoch decides is a batch: a non-empty tuple of
 entries. Every event that can change the state ends in one progress
-loop (``_progress``): upkeep, unless it already ran on this very state,
-then act on the epoch's decision until it stops changing. Decided
-appends the batch to the local log *before* the advance discards the
-epoch. A replica whose epoch counter is ahead of its log length (the
-number of decided epochs) has a hole: it does not know what the hidden
-epochs decided, and they may have decided its pending entries. Its
-progress loop then takes no step (no upkeep, no proposal, no append)
-and only asks the peer it heard from for a sync, unless a request to
-that peer is still unanswered; each tick while the hole lasts sends
-every unanswered request again. Nothing else asks: a reconnect pushes
-state, and a peer the push shows to be behind finds its hole. A sync
-request carries the requester's log length; the response carries the
-state, the batches past that length and where they start. The receiver
-refuses one that starts past its log and adopts the batches past its
-log, which may have grown while the response was in flight. Undecided
-proposes every pending entry, in arrival order, then every forwarded
-one, as one batch, once per (epoch, head request); or forwards the
-pending ones to the leader (below). Invalid raises: the state can never
-be valid again, so the caller must fail stop.
+loop (``_progress``): upkeep, unless it already ran on this very state
+with a batch, then act on the epoch's decision until it stops changing.
+Decided appends the batch to the local log *before* the advance
+discards the epoch. A replica whose epoch counter is ahead of its log
+length (the number of decided epochs) has a hole: it does not know what
+the hidden epochs decided, and they may have decided its pending
+entries. Its progress loop then takes no step (no upkeep, no proposal,
+no append) and only asks the peer it heard from for a sync, unless a
+request to that peer is still unanswered (an answer that brings no
+batch, from a peer missing the same epochs, leaves it so); each tick
+while the hole lasts sends every unanswered request again. Nothing else
+asks: a reconnect pushes state, and a peer the push shows to be behind
+finds its hole. A sync request carries the requester's log length; the
+response carries the state, the batches past that length and where
+they start. The receiver refuses one that starts past its log and
+adopts the batches past its log, which may have grown while the
+response was in flight. Upkeep is the one path to a proposal: a
+confirmed leader's upkeep proposes every pending entry, in arrival
+order, then every forwarded one, as one batch. It reruns on an
+unchanged state only if it last ran with nothing to propose, so a
+request at an idle, confirmed leader is proposed in its own event.
+Undecided with an entry pending starts the election timer,
+then forwards the pending entries to a leader this core hears (below),
+or acts once per (epoch, head request): the owner of the current ballot
+waits for a quorum to confirm it, and any other core opens a ballot.
+Invalid raises: the state can never be valid again, so the caller must
+fail stop.
 
 The deltas an event produces are joined per epoch and kept in epoch
 order, and leave as one DELTA envelope, sent to each recipient. The
@@ -84,19 +92,21 @@ peer one FORWARD of the pending entries not yet sent to it, those past a
 mark (leader, seq), so each entry goes once per leader, and again when
 the leader reconnects. It does so only if it has heard that peer
 directly in its current epoch or the one before; a leader it cannot
-reach would swallow every forward, so then it proposes as before. The
+reach would swallow every forward, so then it opens a ballot. The
 origin keeps its entries pending and answers its clients from its own
 log; if the leader is gone, the election timer restarts the ballot and
 the origin proposes them itself. The leader keeps forwarded entries, an
 ordered set, after its own pending ones. It drops one it originated
 (its own are pending here), one it already holds and one that the log
 decided past the sender's length, and drops each as the log decides it.
-Only the owner of the current ballot proposes them.
+Only the owner of the current ballot proposes them, through upkeep.
 
 The core knows no protocol internals, no payload format and no
 operation semantics: beside the consensus contract it calls the
 protocol's ``check_state`` on every peer state before a merge, its
-``restart`` on an election timeout and its ``leader`` before proposing.
+``restart`` to open a ballot, on an election timeout and for a core
+with entries pending that neither owns nor hears the current ballot,
+and its ``leader`` before it acts.
 Every payload is one codec document, ``hears`` included:
 ``wire.envelope`` encodes each body it sends, ``wire.parse_envelope``
 decodes and shape-checks each frame, and the core judges only where a
@@ -153,7 +163,7 @@ class ServerCore:
         self.now = 0.0
         self.election_timeout = election_timeout
         self.election_deadline: Optional[float] = None
-        self._last_proposal_key = None
+        self._acted = None  # (epoch, head request) last acted on
         # (leader, seq): pending entries, in seq order, went to that
         # leader up to seq; every forward sends all the ones past it
         self._forwarded_to = (None, 0)
@@ -178,7 +188,8 @@ class ServerCore:
         self._outgoing: List = []
         # an idle leader's own seed vote while it is all that is queued
         self._held = None
-        # peers asked for a sync and not yet answered, in the order asked
+        # peers asked for a sync and not yet answered with a batch, in the
+        # order asked
         self._asked: dict = {}
 
     @property
@@ -233,10 +244,15 @@ class ServerCore:
                 if start > len(self.log):
                     raise ValueError(f"sync suffix from {start} skips past our log")
                 self._check_state(state, wire.is_batch)
-                # answered: a hole this answer leaves open asks again
-                self._asked.pop(sender, None)
                 # the batches below our log length are decided here already
-                for batch in batches[len(self.log) - start:]:
+                new = batches[len(self.log) - start:]
+                if new:
+                    # answered: a hole this answer leaves open asks again.
+                    # One with no batch stays unanswered for the tick to
+                    # repeat, or two peers missing one epoch ask each
+                    # other without end.
+                    self._asked.pop(sender, None)
+                for batch in new:
                     self._append_decided(batch, effects)
                 self._absorb(state, sender, effects)
         except ValueError:
@@ -263,9 +279,9 @@ class ServerCore:
             self._request_sync(self._asked, effects)
         if self.pending and self.election_deadline is not None and now >= self.election_deadline:
             self._apply_local(self._restart(self.state, self.ctx))
-            # the fresh ballot is this epoch's proposal of the head, also
+            # the fresh ballot is this epoch's act for the head, also
             # after a forward: upkeep votes the batch once it is confirmed
-            self._last_proposal_key = (self.state.counter, next(iter(self.pending)))
+            self._acted = (self.state.counter, next(iter(self.pending)))
             self._reset_election()
             self._progress(effects)
         # a held seed vote waits for a proposal no longer than a tick
@@ -288,7 +304,7 @@ class ServerCore:
         if delta == self.protocol.bottom():
             return False
         merged = self.protocol.merge(self.state, delta)
-        if merged == self.state:
+        if merged is self.state:
             return False
         self.state = merged
         out = self._outgoing
@@ -330,9 +346,7 @@ class ServerCore:
 
     def _absorb(self, incoming, sender: str, effects: List) -> None:
         """Merge peer knowledge, then take our next protocol step."""
-        merged = self.protocol.merge(self.state, incoming)
-        if merged != self.state:
-            self.state = merged
+        self.state = self.protocol.merge(self.state, incoming)
         self._progress(effects, sender)
 
     def _progress(self, effects: List, sender: Optional[str] = None) -> None:
@@ -346,12 +360,12 @@ class ServerCore:
             return
         if self.state is not self._upkept:
             # Upkeep is a function of the state and the pending batch,
-            # and the batch matters only to a leader with no proposal
-            # yet, which the propose below covers: rerun on the same
-            # state (a client request, a duplicate delta) adds nothing.
+            # and the batch matters only to a confirmed leader with no
+            # proposal yet: rerun on the same state (a duplicate delta)
+            # adds nothing, unless it ran with no batch and one is here.
             batch = self._batch() or None
             self._apply_local(self.protocol.upkeep(self.state, self.ctx, pending=batch))
-            self._upkept = self.state
+            self._upkept = self.state if batch else None
         while True:
             d = self.protocol.inner_decision(self.state)
             if isinstance(d, Invalid):
@@ -365,34 +379,32 @@ class ServerCore:
                 if not (self.pending or self.forwarded) and self._leader(step) == self.uid:
                     self._held = step
             else:
-                if not (self.pending or self.forwarded):
-                    return
-                leader = self._leader(self.state)
+                # forwarded entries wait for the ballot owner's upkeep
                 if not self.pending:
-                    # forwarded entries are proposed by the ballot owner only
-                    if leader != self.uid:
-                        return
-                elif leader in self._heard and self._heard[leader] >= self.state.counter - 1:
+                    return
+                if self.election_deadline is None:
+                    self._reset_election()
+                leader = self._leader(self.state)
+                if leader in self._heard and self._heard[leader] >= self.state.counter - 1:
                     # a peer leads, heard directly this epoch or the one before
                     self._forward(leader, effects)
                     return
-                # Propose everything held once per (epoch, head request).
-                key = (self.state.counter, next(iter(self.pending), None))
-                if self._last_proposal_key == key:
+                # Act once per (epoch, head request): the ballot owner
+                # waits for upkeep to propose once a quorum confirms it,
+                # anyone else opens a ballot.
+                key = (self.state.counter, next(iter(self.pending)))
+                if self._acted == key:
                     return
-                self._last_proposal_key = key
-                if self.election_deadline is None:
-                    self._reset_election()
-                step = self.protocol.propose(self.state, self._batch(), self.ctx)
+                self._acted = key
+                if leader == self.uid:
+                    return
+                step = self._restart(self.state, self.ctx)
             if not self._apply_local(step):
                 return
 
     def _forward(self, leader: str, effects: List) -> None:
-        """Hand ``leader`` every pending entry not yet sent to it; the
-        election timer still runs."""
-        if self.election_deadline is None:
-            self._reset_election()
-        sent = self._forwarded_to[1] if self._forwarded_to[0] == leader else 0
+        """Hand ``leader`` every pending entry not yet sent to it."""
+        sent =self._forwarded_to[1] if self._forwarded_to[0] == leader else 0
         entries = tuple(entry for entry in self.pending if entry.seq > sent)
         if entries:
             self._forwarded_to = (leader, entries[-1].seq)
@@ -417,5 +429,5 @@ class ServerCore:
             self.forwarded.pop(entry, None)
             if entry in self.pending:
                 effects.append(Respond(self.pending.pop(entry), response))
-                self._last_proposal_key = None
+                self._acted = None  # (epoch, head request) last acted on
                 self.election_deadline = None

@@ -9,8 +9,9 @@ Every replicated state in this package is a value of one of these types
 * The partial order is derived: ``leq(a, b)`` iff ``merge(a, b) == b``
   under structural equality.
 * A merge that adds nothing returns the receiver: ``b ≤ a ⇒ a.merge(b)
-  is a``, so data cached on a value (a vote tally) survives it. Equality,
-  not identity, stays the test of "nothing changed".
+  is a``, so data cached on a value (a vote tally) survives it, and
+  identity is a test of "nothing changed" that costs no comparison
+  (``sim.lattice_law_problems`` checks this law for every shipped type).
 * Sets and product records also return the argument when the receiver
   adds nothing to it (``a < b ⇒ a.merge(b) is b``), and
   ``MergeMap.merge`` is one linear walk over the two key-sorted entry

@@ -99,6 +99,10 @@ class MultiPaxos(_CounterQualified):
     any replica may still outbid the seed. The leader's seed is confirmed
     once a quorum has advanced, and until then its ``propose`` waits
     instead of opening a ballot; restarting is the election timer's job.
+    That wait serves the random tester's ``Propose`` steps, and with them
+    criterion 9a's stable leader. The key-value store calls no
+    ``propose``: its leader proposes through ``upkeep``, which acts only
+    once the ballot is confirmed, and ``restart`` opens its ballots.
     """
 
     def __init__(self, membership: Membership):

@@ -313,6 +313,25 @@ def test_a_core_keeps_one_unanswered_sync_request_per_peer(memory_net):
     assert sync_requests(core.on_tick(0.15)) == []
 
 
+def test_a_sync_answer_that_adds_no_batch_is_asked_again_on_a_tick_only(memory_net):
+    for key in ("a", "b"):
+        assert memory_net.put("n2", key, "v") == {"status": "ok"}
+    donor = memory_net.cores["n2"]
+    core = ServerCore("n1", ("n2", "n3"))
+    assert sync_requests(core.on_envelope(delta_frame("n3", donor.state))) == ["n3"]
+    # n3 misses the same epochs: its answer holds its state and no batch.
+    # Asking it again at once would make two such peers ask each other
+    # without end; the request stays unanswered for the tick to repeat.
+    empty = roundtrip(wire.envelope("n3", wire.SYNC_RESPONSE, (donor.state, 0, ())))
+    assert sync_requests(core.on_envelope(empty)) == []
+    assert sync_requests(core.on_tick(0.05)) == ["n3"]
+    # a peer that holds the epochs fills the hole
+    assert sync_requests(core.on_envelope(delta_frame("n2", donor.state))) == ["n2"]
+    core.on_envelope(roundtrip(wire.envelope("n2", wire.SYNC_RESPONSE, (donor.state, 0, tuple(donor.log)))))
+    assert core.log == donor.log
+    assert sync_requests(core.on_tick(0.1)) == []
+
+
 def test_a_reconnect_between_equal_logs_only_pushes_state(memory_net):
     for uid in ("n1", "n2", "n3"):
         assert memory_net.put(uid, uid, "v") == {"status": "ok"}
@@ -891,6 +910,52 @@ def test_the_hooks_survive_a_delegating_protocol():
     seen, _ = record_frames(net)
     assert net.put("n2", "j", "w") == {"status": "ok"}
     assert ("n2", "n1", wire.FORWARD) in seen
+
+
+class ProposeRaises(ContractOnly):
+    """A delegator whose ``propose`` fails: the store must never call it."""
+
+    def propose(self, state, value, ctx):
+        raise AssertionError("the store proposed outside upkeep")
+
+
+def test_upkeep_is_the_stores_only_path_to_a_proposal():
+    net = MemoryNet()
+    for core in net.cores.values():
+        core.protocol = ProposeRaises(core.protocol)
+    # n1 opens the first ballot through restart, and upkeep proposes
+    assert net.put("n1", "a", "1") == {"status": "ok"}
+    seen, _ = record_frames(net)
+    assert net.put("n2", "b", "2") == {"status": "ok"}
+    assert ("n2", "n1", wire.FORWARD) in seen
+    # n3 forwards into the severed link; its election timer takes over
+    net.blocked = {("n1", "n3"), ("n3", "n1")}
+    request_id = ("n3", "severed")
+    net._pump("n3", net.cores["n3"].on_client_request(request_id, {"op": "put", "key": "c", "value": "3"}))
+    assert request_id not in net.responses
+    net.tick(0.6)
+    assert net.responses.pop(request_id) == {"status": "ok"}
+    net.blocked.clear()
+    net.connect_all()
+    for i, uid in enumerate(net.ids):
+        assert net.put(uid, f"d{i}", uid) == {"status": "ok"}
+    assert len({tuple(core.decided_ops) for core in net.cores.values()}) == 1
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "a restarted core numbers its requests from 1 again, so its first read "
+    "equals the one it sent before its previous restart, and the decided "
+    "entry answers it; mended by ROADMAP items 2 and 10"))
+def test_a_node_restarted_twice_reads_the_latest_write():
+    net = MemoryNet()
+    assert net.put("n1", "k0", "a") == {"status": "ok"}
+    for i in range(2):
+        value = f"while-down-{i}"
+        assert net.put("n1", "k0", value) == {"status": "ok"}
+        net.cores["n3"] = ServerCore("n3", ("n1", "n2"))
+        # n3 asks before it has heard anything: its read is its first request
+        assert net.get("n3", "k0") == {"status": "ok", "value": value}
+        assert net.get("n1", "k0") == {"status": "ok", "value": value}
 
 
 def test_a_follower_behind_a_dead_leader_link_catches_up_through_its_own_election(memory_net):
